@@ -210,32 +210,42 @@ let run_figure4 () =
 (* Security ablation: SAT attack vs fabric utilization (Eq. 1 basis)   *)
 (* ------------------------------------------------------------------ *)
 
+(* Work budgets only, no wall clock: the exact attack stops after
+   [max_iterations] DIPs or when one solver call spends [solver_conflicts]
+   conflicts; the hill climb stops after its flip budget *)
+let security_budget =
+  { Sec.Sat_attack.max_iterations = 80; max_seconds = infinity;
+    solver_conflicts = Some 12_000 }
+
 let run_security () =
   section "Security ablation: exact SAT attack vs approximate baseline";
-  Format.printf "%-18s %6s %9s | %6s %8s %9s | %9s %8s@." "candidate" "LUTs"
-    "key bits" "DIPs" "time(s)" "SAT" "agree%" "hill(s)";
+  Format.printf "(exact attack: %d DIPs, %d conflicts per solver call)@."
+    security_budget.Sec.Sat_attack.max_iterations
+    (Option.get security_budget.Sec.Sat_attack.solver_conflicts);
+  Format.printf "%-18s %6s %9s | %-12s %5s %9s %8s %8s | %7s %8s@." "candidate"
+    "LUTs" "key bits" "SAT status" "DIPs" "conflicts" "time(s)" "key" "agree%"
+    "hill(s)";
   let attack_one label mapped =
     let locked = Sec.Locked.of_mapped mapped in
     let oracle = Sec.Locked.make_oracle locked in
-    let budget = { Sec.Sat_attack.max_iterations = 200; max_seconds = 30.0;
-                   solver_conflicts = None } in
-    let o = Sec.Sat_attack.attack ~budget locked ~oracle in
-    let correct =
+    let o = Sec.Sat_attack.attack ~budget:security_budget locked ~oracle in
+    let key =
       match o.Sec.Sat_attack.key with
-      | Some key -> Sec.Metrics.key_is_correct locked key
-      | None -> false
+      | Some key ->
+        if Sec.Metrics.key_is_correct locked key then "correct" else "WRONG"
+      | None -> "-"
     in
     let approx =
       Sec.Approx_attack.attack
         ~budget:{ Sec.Approx_attack.queries = 96; max_flips = 2000; restarts = 4;
-                  max_seconds = 30.0 }
+                  max_seconds = infinity }
         locked ~oracle
     in
-    Format.printf "%-18s %6d %9d | %6d %8.2f %9s | %8.0f%% %8.2f@." label
-      (N.Circuit.lut_count mapped) o.Sec.Sat_attack.key_bits
-      o.Sec.Sat_attack.iterations o.Sec.Sat_attack.seconds
-      (if o.Sec.Sat_attack.success then (if correct then "correct" else "WRONG")
-       else "timeout")
+    Format.printf "%-18s %6d %9d | %-12s %5d %9d %8.2f %8s | %6.0f%% %8.2f@."
+      label (N.Circuit.lut_count mapped) o.Sec.Sat_attack.key_bits
+      (Sec.Sat_attack.status_to_string o.Sec.Sat_attack.status)
+      o.Sec.Sat_attack.iterations o.Sec.Sat_attack.conflicts
+      o.Sec.Sat_attack.seconds key
       (100.0 *. approx.Sec.Approx_attack.best_agreement)
       approx.Sec.Approx_attack.seconds
   in
@@ -255,14 +265,17 @@ let run_security () =
       ("DES3/sbox5", "DES3", "sbox5") ];
   Format.printf
     "@.Reading: key length grows with the logic placed on the fabric, and@.\
-     the function class decides how fast DIPs prune it: arithmetic@.\
-     (subtractor, the little FSM) falls in seconds, while comparators,@.\
-     zero-detectors and s-boxes — point-function-like cones, exactly the@.\
-     shapes the logic-locking literature calls SAT-resistant — exhaust@.\
-     the attack budget. The hill-climbing baseline reaches high *query*@.\
-     agreement cheaply everywhere but never certifies a key, which is@.\
-     why the exact-attack columns are the security signal. Redacting@.\
-     onto a well-utilized fabric keeps every configured bit meaningful,@.\
+     the function class decides how the attack's work is spent: the@.\
+     little FSM and the subtractor converge to a correct key; the@.\
+     zero-detector and comparators — point-function-like cones, the@.\
+     shapes the logic-locking literature calls SAT-resistant — prune@.\
+     one input per DIP and exhaust the DIP budget on few conflicts;@.\
+     the s-boxes spend the most conflicts per DIP until one solver call@.\
+     exceeds its budget (inconclusive: the run proves nothing). The@.\
+     hill-climbing baseline reaches high *query* agreement cheaply@.\
+     everywhere but never certifies a key, which is why the exact-attack@.\
+     columns are the security signal. Redacting onto a well-utilized@.\
+     fabric keeps every configured bit meaningful,@.\
      the direction Eq. 1 encodes.@."
 
 (* ------------------------------------------------------------------ *)
@@ -663,8 +676,6 @@ let run_attack () =
     ((t_cold -. t_heur) /. Float.max 1.0 (float run)) run;
   Format.printf "  warm run re-attacked nothing: %b@."
     (warm.A.Selection.Scorer.attacks_run = 0);
-  (* the same cold sweep on the single-shot solver path: the delta is
-     what the incremental session's learnt-clause reuse buys *)
   let total_conflicts (f : A.Flow.t) =
     List.fold_left
       (fun acc (e : A.Selection.efpga_impl) ->
@@ -673,21 +684,8 @@ let run_attack () =
         | None -> acc)
       0 f.A.Flow.selection.A.Selection.valid
   in
-  let single_root = Filename.temp_file "alice_bench" ".cache1" in
-  Sys.remove single_root;
-  Unix.putenv "ALICE_SAT_INCREMENTAL" "0";
-  let single_engine = A.Engine.create ~cache_dir:single_root () in
-  let single_flow, t_single =
-    time (fun () -> A.Engine.run single_engine (request measured_cfg))
-  in
-  Unix.putenv "ALICE_SAT_INCREMENTAL" "1";
-  ignore (line "measured cold (single-shot):" single_flow t_single);
-  let conflicts_inc = total_conflicts cold_flow
-  and conflicts_single = total_conflicts single_flow in
-  Format.printf
-    "  solver conflicts: %d incremental vs %d single-shot (%.2fx), %d learnt reused@."
-    conflicts_inc conflicts_single
-    (float conflicts_single /. Float.max 1.0 (float conflicts_inc))
+  let conflicts_cold = total_conflicts cold_flow in
+  Format.printf "  solver conflicts: %d, %d learnt reused@." conflicts_cold
     cold.A.Selection.Scorer.attacks_reused;
   (* the point of measuring: the ranking moves *)
   let ranking (f : A.Flow.t) =
@@ -712,9 +710,7 @@ let run_attack () =
     (float warm.A.Selection.Scorer.attacks_cached
     /. Float.max 1.0 (float run));
   note_f "per_verdict_s" ((t_cold -. t_heur) /. Float.max 1.0 (float run));
-  note_f "single_shot_cold_s" t_single;
-  note_i "total_conflicts_cold" conflicts_inc;
-  note_i "total_conflicts_single_shot" conflicts_single;
+  note_i "total_conflicts_cold" conflicts_cold;
   note_i "learnt_reused_cold" cold.A.Selection.Scorer.attacks_reused;
   note "diverges_from_eq1" (Jl.Bool (ranking heur_flow <> ranking cold_flow))
 
@@ -989,10 +985,7 @@ let run_micro () =
              let locked = Sec.Locked.of_mapped mapped in
              let oracle = Sec.Locked.make_oracle locked in
              ignore
-               (Sec.Sat_attack.attack
-                  ~budget:{ Sec.Sat_attack.max_iterations = 64; max_seconds = 10.0;
-                            solver_conflicts = None }
-                  locked ~oracle))) ]
+               (Sec.Sat_attack.attack ~budget:security_budget locked ~oracle))) ]
   in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) ~kde:None () in

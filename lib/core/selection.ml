@@ -47,8 +47,7 @@ module Scorer = struct
     v_conflicts : int;    (* solver conflicts spent across all calls *)
     v_key_bits : int;
     v_reused : int;       (* learnt clauses the attack's incremental
-                             session carried across queries; 0 on the
-                             single-shot path *)
+                             session carried across queries *)
   }
 
   type stats = {
@@ -84,15 +83,10 @@ module Scorer = struct
       budget knob rekeys; changing [attack_jobs]/[attack_area_weight]
       does not (verdicts are reusable across both). The version tag is
       [v2] since the incremental solver (conflict counts and the
-      [v_reused] field changed), and the single-shot escape hatch keys
-      separately — its search explores a different order, so its conflict
-      counts must never alias incremental ones. *)
+      [v_reused] field changed). *)
   let verdict_key (cfg : C.Flow_config.t) ~(fabric : F.Fabric.t)
       ~(mapped : Alice_netlist.Circuit.t) : string =
-    let mode =
-      if Sec.Sat_attack.incremental_enabled () then "" else "+single-shot"
-    in
-    Printf.sprintf "attack-verdict v2%s %s %s %s" mode (digest_of fabric)
+    Printf.sprintf "attack-verdict v2 %s %s %s" (digest_of fabric)
       (digest_of mapped)
       (C.Flow_config.attack_digest cfg)
 

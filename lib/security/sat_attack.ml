@@ -9,14 +9,12 @@
     key space until the miter goes UNSAT, at which point any key
     consistent with the recorded queries is functionally correct.
 
-    The default loop runs on one persistent {!Solver.Incremental}
-    session: the miter's "some output differs" clause is gated behind an
-    activation literal, each DIP iteration appends the new replay
-    constraints to the live formula, and the final key extraction is the
-    same session solved with the gate off — so learnt clauses from every
-    earlier query carry into the next instead of every query restarting
-    cold. [ALICE_SAT_INCREMENTAL=0] in the environment falls back to the
-    historical single-shot loop that rebuilds the CNF each iteration. *)
+    The loop runs on one persistent {!Solver.Incremental} session: the
+    miter's "some output differs" clause is gated behind an activation
+    literal, each DIP iteration appends the new replay constraints to the
+    live formula, and the final key extraction is the same session
+    solved with the gate off — so learnt clauses from every earlier
+    query carry into the next instead of every query restarting cold. *)
 
 module Circuit = Alice_netlist.Circuit
 module Cnf = Alice_sat.Cnf
@@ -44,7 +42,7 @@ type outcome = {
   seconds : float;
   conflicts : int;         (* solver conflicts spent across all calls *)
   reused : int;            (* learnt clauses inherited across session
-                              queries; 0 on the single-shot path *)
+                              queries *)
 }
 
 type budget = {
@@ -58,150 +56,9 @@ type budget = {
 let default_budget =
   { max_iterations = 256; max_seconds = 30.0; solver_conflicts = None }
 
-(** Whether the incremental-session loop is enabled (default). The
-    [ALICE_SAT_INCREMENTAL] environment variable set to [0], [false],
-    [no] or [off] selects the single-shot loop instead — an escape
-    hatch, and the reference the differential checks compare against. *)
-let incremental_enabled () =
-  match Sys.getenv_opt "ALICE_SAT_INCREMENTAL" with
-  | Some v -> (
-    match String.lowercase_ascii (String.trim v) with
-    | "0" | "false" | "no" | "off" -> false
-    | _ -> true)
-  | None -> true
-
-(* ------------------------------------------------------------------ *)
-(* Single-shot loop (ALICE_SAT_INCREMENTAL=0): rebuild the whole attack
-   CNF from scratch each iteration.                                    *)
-(* ------------------------------------------------------------------ *)
-
-let build_miter (l : Locked.t) (dips : (bool array * bool array) list) :
-    Cnf.t * int array (* input vars *) * int array (* key1 vars *) =
-  let f = Cnf.create () in
-  let ins = Locked.input_nets l in
-  let outs = Locked.output_nets l in
-  let key1 = Cnf.fresh_vars f l.Locked.key_bits in
-  let key2 = Cnf.fresh_vars f l.Locked.key_bits in
-  let input_vars = Array.map (fun _ -> Cnf.fresh_var f) ins in
-  let share_inputs =
-    let m = Hashtbl.create 64 in
-    Array.iteri (fun i n -> Hashtbl.replace m n input_vars.(i)) ins;
-    fun n -> Hashtbl.find_opt m n
-  in
-  let map1 = Locked.encode_locked f l ~key_vars:key1 ~share:share_inputs in
-  let map2 = Locked.encode_locked f l ~key_vars:key2 ~share:share_inputs in
-  (* miter: at least one output pair differs *)
-  let diffs =
-    Array.to_list outs
-    |> List.map (fun n ->
-           let d = Cnf.fresh_var f in
-           Cnf.encode_xor f ~out:d ~a:map1.(n) ~b:map2.(n);
-           d)
-  in
-  Cnf.add_clause f diffs;
-  (* replay recorded DIPs: both keys must reproduce the oracle response *)
-  List.iter
-    (fun (x, y) ->
-      let constant = Hashtbl.create 64 in
-      Array.iteri (fun i n -> Hashtbl.replace constant n x.(i)) ins;
-      let pin map =
-        Array.iteri
-          (fun i n ->
-            ignore i;
-            match Hashtbl.find_opt constant n with
-            | Some b -> Cnf.add_unit f (if b then map.(n) else -map.(n))
-            | None -> ())
-          ins;
-        Array.iteri
-          (fun i n -> Cnf.add_unit f (if y.(i) then map.(n) else -map.(n)))
-          outs
-      in
-      (* each replay needs fresh internal nets per key copy *)
-      let replay key =
-        let map =
-          Locked.encode_locked f l ~key_vars:key ~share:(fun _ -> None)
-        in
-        pin map
-      in
-      replay key1;
-      replay key2)
-    dips;
-  (f, input_vars, key1)
-
-(* key-feasibility formula: one locked copy per DIP, all on key1 *)
-let build_feasibility (l : Locked.t) (dips : (bool array * bool array) list) :
-    Cnf.t * int array =
-  let f = Cnf.create () in
-  let key = Cnf.fresh_vars f l.Locked.key_bits in
-  let ins = Locked.input_nets l in
-  let outs = Locked.output_nets l in
-  List.iter
-    (fun (x, y) ->
-      let map = Locked.encode_locked f l ~key_vars:key ~share:(fun _ -> None) in
-      Array.iteri (fun i n -> Cnf.add_unit f (if x.(i) then map.(n) else -map.(n))) ins;
-      Array.iteri (fun i n -> Cnf.add_unit f (if y.(i) then map.(n) else -map.(n))) outs)
-    dips;
-  (f, key)
-
-let attack_single_shot ~(budget : budget) (l : Locked.t)
-    ~(oracle : bool array -> bool array) : outcome =
-  let start = Timebase.now_s () in
-  let elapsed () = Timebase.elapsed_since start in
-  let spent = ref 0 in
-  let solve f =
-    let r, c = Solver.solve_stats ?max_conflicts:budget.solver_conflicts f in
-    spent := !spent + c;
-    r
-  in
-  let ins = Locked.input_nets l in
-  let rec loop dips iterations =
-    if iterations >= budget.max_iterations || elapsed () > budget.max_seconds
-    then
-      { success = false; status = Exhausted; iterations; key = None;
-        key_bits = l.Locked.key_bits; seconds = elapsed ();
-        conflicts = !spent; reused = 0 }
-    else begin
-      let f, input_vars, _key1 = build_miter l dips in
-      match solve f with
-      | Solver.Unknown ->
-        (* the solver's own budget ran out: the run proves nothing *)
-        { success = false; status = Inconclusive; iterations; key = None;
-          key_bits = l.Locked.key_bits; seconds = elapsed ();
-          conflicts = !spent; reused = 0 }
-      | Solver.Unsat ->
-        (* converged: any key satisfying the recorded queries is correct *)
-        let fk, key_vars = build_feasibility l dips in
-        (match solve fk with
-        | Solver.Sat model ->
-          let key = Some (Array.map (fun v -> Solver.model_value model v) key_vars) in
-          { success = true; status = Converged; iterations; key;
-            key_bits = l.Locked.key_bits; seconds = elapsed ();
-            conflicts = !spent; reused = 0 }
-        | Solver.Unsat ->
-          { success = true; status = Converged; iterations; key = None;
-            key_bits = l.Locked.key_bits; seconds = elapsed ();
-            conflicts = !spent; reused = 0 }
-        | Solver.Unknown ->
-          (* miter collapsed but key extraction hit the solver budget *)
-          { success = false; status = Inconclusive; iterations; key = None;
-            key_bits = l.Locked.key_bits; seconds = elapsed ();
-            conflicts = !spent; reused = 0 })
-      | Solver.Sat model ->
-        let dip =
-          Array.init (Array.length ins) (fun i ->
-              Solver.model_value model input_vars.(i))
-        in
-        let response = oracle dip in
-        loop ((dip, response) :: dips) (iterations + 1)
-    end
-  in
-  loop [] 0
-
-(* ------------------------------------------------------------------ *)
-(* Incremental loop: one CNF, one session, for the whole run.          *)
-(* ------------------------------------------------------------------ *)
-
-let attack_incremental ~(budget : budget) (l : Locked.t)
+(** Run the attack. [oracle] maps a scan-input stimulus to the correct
+    response (use {!Locked.make_oracle} for the standard threat model). *)
+let attack ?(budget = default_budget) (l : Locked.t)
     ~(oracle : bool array -> bool array) : outcome =
   let start = Timebase.now_s () in
   let elapsed () = Timebase.elapsed_since start in
@@ -296,15 +153,3 @@ let attack_incremental ~(budget : budget) (l : Locked.t)
     end
   in
   loop 0
-
-(** Run the attack. [oracle] maps a scan-input stimulus to the correct
-    response (use {!Locked.make_oracle} for the standard threat model).
-    [incremental] defaults from the [ALICE_SAT_INCREMENTAL] environment
-    variable (on unless explicitly disabled). *)
-let attack ?(budget = default_budget) ?incremental (l : Locked.t)
-    ~(oracle : bool array -> bool array) : outcome =
-  let incremental =
-    match incremental with Some b -> b | None -> incremental_enabled ()
-  in
-  if incremental then attack_incremental ~budget l ~oracle
-  else attack_single_shot ~budget l ~oracle

@@ -23,5 +23,4 @@ let () =
       ("redact", Test_redact.tests);
       ("decompose", Test_decompose.tests);
       ("structural", Test_structural.tests);
-      ("unroll", Test_unroll.tests);
       ("benchmarks", Test_benchmarks.tests) ]
