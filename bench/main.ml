@@ -15,8 +15,9 @@
    Besides the console report, every run writes BENCH_<rev>.json into
    the working directory (rev = `git rev-parse --short HEAD`, or "dev"
    outside a checkout): per-section wall times plus each section's key
-   scalars (request throughput, cache hit rates, speedups), so a
-   snapshot per revision can be committed and diffed. *)
+   scalars (request throughput, cache hit rates, speedups), and the
+   line counts of lib/ and bin/, so a snapshot per revision can be
+   committed and diffed. *)
 
 module A = Alice
 module B = Alice_benchmarks.Suite
@@ -57,13 +58,39 @@ let git_rev () =
     | Unix.WEXITED 0, rev when rev <> "" -> rev
     | _ -> "dev")
 
+(* newline count of the .ml/.mli files under [dir], like `wc -l`; the
+   code size a snapshot tracks next to the timings. [None] when run
+   outside the source tree. *)
+let source_lines dir =
+  let rec walk path =
+    if Sys.is_directory path then
+      Array.fold_left
+        (fun acc name -> acc + walk (Filename.concat path name))
+        0 (Sys.readdir path)
+    else if
+      Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
+    then
+      String.fold_left
+        (fun n c -> if c = '\n' then n + 1 else n)
+        0
+        (In_channel.with_open_bin path In_channel.input_all)
+    else 0
+  in
+  if Sys.file_exists dir then Some (walk dir) else None
+
 let write_snapshot ~wall_s =
   let rev = git_rev () in
   let path = Printf.sprintf "BENCH_%s.json" rev in
+  let lines =
+    List.filter_map
+      (fun dir -> Option.map (fun n -> (dir, Jl.Int n)) (source_lines dir))
+      [ "lib"; "bin" ]
+  in
   let doc =
     Jl.Obj
       [ ("rev", Jl.String rev);
         ("wall_s", Jl.Float wall_s);
+        ("lines", Jl.Obj lines);
         ("sections", Jl.Obj !recorded) ]
   in
   Out_channel.with_open_bin path (fun oc ->
@@ -549,16 +576,13 @@ let run_parallel () =
         (c.A.Characterize.cluster.A.Clustering.key, label))
       results
   in
-  let serial, t_serial =
-    time (fun () -> A.Characterize.run_all ~jobs:1 design cfg clusters)
+  let characterize jobs () =
+    fst (A.Characterize.run_all_stats ~jobs design cfg clusters)
   in
+  let serial, t_serial = time (characterize 1) in
   let default_jobs = Domain.recommended_domain_count () in
-  let default_run, t_default =
-    time (fun () -> A.Characterize.run_all ~jobs:default_jobs design cfg clusters)
-  in
-  let over, t_over =
-    time (fun () -> A.Characterize.run_all ~jobs:4 design cfg clusters)
-  in
+  let default_run, t_default = time (characterize default_jobs) in
+  let over, t_over = time (characterize 4) in
   Format.printf "  serial  (jobs=1):          %6.2fs@." t_serial;
   Format.printf "  pool    (jobs=%d, default): %6.2fs   ratio serial/pool %.2fx@."
     default_jobs t_default

@@ -68,21 +68,13 @@ let diag_format =
 
 (* ---------- parallelism & cache plumbing ----------
 
-   One flag group, threaded identically through redact, bench, sweep
-   and serve: it evaluates to the raw override values; [apply_overrides]
-   lays them over whatever configuration a command loaded (serve also
-   reads the raw [jobs] to cap per-request parallelism). *)
+   One flag group, threaded identically through redact, bench, sweep,
+   advise and serve: it evaluates to a configuration overlay holding
+   the keys the flags set, which [Flow_config.apply] lays over whatever
+   configuration a command loaded — so flags are validated exactly like
+   the same keys in a YAML file. *)
 
-type flow_overrides = {
-  ov_jobs : int option;
-  ov_cache_dir : string option;
-  ov_no_cache : bool;
-  ov_score : C.Flow_config.score_mode option;
-  ov_attack_budget : int option;
-  ov_attack_jobs : int option;
-}
-
-let flow_flags : flow_overrides Cmdliner.Term.t =
+let flow_flags : C.Yaml_lite.t Cmdliner.Term.t =
   let jobs =
     Arg.(value & opt (some int) None
          & info [ "j"; "jobs" ] ~docv:"N"
@@ -107,12 +99,8 @@ let flow_flags : flow_overrides Cmdliner.Term.t =
                    this invocation (nothing is read or written).")
   in
   let score =
-    let mode_conv =
-      Arg.enum
-        [ ("heuristic", C.Flow_config.Heuristic);
-          ("measured", C.Flow_config.Measured) ]
-    in
-    Arg.(value & opt (some mode_conv) None
+    Arg.(value & opt (some (enum [ ("heuristic", "heuristic");
+                                   ("measured", "measured") ])) None
          & info [ "score" ] ~docv:"MODE"
              ~doc:"Candidate scoring: $(b,heuristic) ranks by the paper's \
                    Eq. 1 (the default); $(b,measured) runs a budgeted \
@@ -137,46 +125,19 @@ let flow_flags : flow_overrides Cmdliner.Term.t =
                    domains. Rankings are identical for any value.")
   in
   let gather jobs cache_dir no_cache score attack_budget attack_jobs =
-    { ov_jobs = jobs; ov_cache_dir = cache_dir; ov_no_cache = no_cache;
-      ov_score = score; ov_attack_budget = attack_budget;
-      ov_attack_jobs = attack_jobs }
+    let module Y = C.Yaml_lite in
+    let set key f = Option.map (fun v -> (key, f v)) in
+    Y.Map
+      (List.filter_map Fun.id
+         [ set "jobs" (fun n -> Y.Int n) jobs;
+           set "cache_dir" (fun d -> Y.String d) cache_dir;
+           (if no_cache then Some ("cache", Y.Bool false) else None);
+           set "score" (fun m -> Y.String m) score;
+           set "attack_budget" (fun n -> Y.Int n) attack_budget;
+           set "attack_jobs" (fun n -> Y.Int n) attack_jobs ])
   in
   Term.(const gather $ jobs $ cache_dir $ no_cache $ score $ attack_budget
         $ attack_jobs)
-
-let apply_overrides (ov : flow_overrides) (cfg : C.Flow_config.t) :
-    C.Flow_config.t =
-  let cfg =
-    match ov.ov_jobs with
-    | None -> cfg
-    | Some n when n >= 1 -> { cfg with C.Flow_config.jobs = n }
-    | Some n -> invalid_arg (Printf.sprintf "--jobs %d: must be at least 1" n)
-  in
-  let cfg =
-    match ov.ov_cache_dir with
-    | None -> cfg
-    | Some dir -> { cfg with C.Flow_config.cache_dir = Some dir }
-  in
-  let cfg =
-    if ov.ov_no_cache then { cfg with C.Flow_config.cache = false } else cfg
-  in
-  let cfg =
-    match ov.ov_score with
-    | None -> cfg
-    | Some mode -> { cfg with C.Flow_config.score_mode = mode }
-  in
-  let cfg =
-    match ov.ov_attack_budget with
-    | None -> cfg
-    | Some n when n > 0 -> { cfg with C.Flow_config.attack_budget = n }
-    | Some n ->
-      invalid_arg (Printf.sprintf "--attack-budget %d: must be positive" n)
-  in
-  match ov.ov_attack_jobs with
-  | None -> cfg
-  | Some n when n >= 1 -> { cfg with C.Flow_config.attack_jobs = n }
-  | Some n ->
-    invalid_arg (Printf.sprintf "--attack-jobs %d: must be at least 1" n)
 
 (* the per-run cache accounting, on stderr next to the tables *)
 let report_cache_line (flow : A.Flow.t) : unit =
@@ -292,7 +253,7 @@ let redact_cmd =
           if file = "-" then (In_channel.input_all In_channel.stdin, "<stdin>")
           else (read_file file, file)
         in
-        let cfg = apply_overrides flags (load_config config) in
+        let cfg = C.Flow_config.apply flags (load_config config) in
         let engine = A.Engine.of_config cfg in
         (* recovering front end: every syntax error lands in the
            collector and surviving modules continue through the flow *)
@@ -387,26 +348,10 @@ let sweep_cmd =
         let ast = load_design file in
         (* cache knobs (and the engine) come from base + flags; each
            entry still carries its own full configuration *)
-        let engine =
-          A.Engine.of_config (apply_overrides flags (C.Flow_config.of_yaml base))
-        in
+        let config doc = C.Flow_config.(apply flags (of_yaml doc)) in
+        let engine = A.Engine.of_config (config base) in
         let points =
-          List.mapi
-            (fun i entry ->
-              let name =
-                C.Yaml_lite.get_string
-                  ~default:(Printf.sprintf "cfg%d" (i + 1))
-                  entry "name"
-              in
-              let cfg =
-                apply_overrides flags
-                  (C.Flow_config.of_yaml (C.Yaml_lite.merge base entry))
-              in
-              ( name,
-                A.Flow.request ~config:cfg
-                  ~diags:(D.Collector.create ())
-                  (A.Flow.Ast ast) ))
-            entries
+          A.Engine.sweep_points ~config ~base entries (A.Flow.Ast ast)
         in
         let results = A.Engine.run_sweep ~resume:(not no_resume) engine points in
         Format.printf "%-16s %-8s %-16s %9s %9s %9s %6s %9s %8s %8s@." "config"
@@ -441,16 +386,7 @@ let sweep_cmd =
             ds.A.Disk_cache.failures
             (Option.value (A.Engine.cache_root engine) ~default:"-"));
         (* diagnostics, each tagged with its entry's name *)
-        let tagged =
-          List.concat_map
-            (fun (sp : A.Engine.sweep_point) ->
-              List.map
-                (fun (d : D.t) ->
-                  { d with
-                    D.context = ("config", sp.A.Engine.sp_name) :: d.D.context })
-                sp.A.Engine.sp_diags)
-            results
-        in
+        let tagged = List.concat_map A.Engine.point_diags results in
         render_diags fmt tagged;
         if List.exists D.is_error tagged then 1 else 0)
   in
@@ -510,7 +446,7 @@ let advise_cmd =
         let base_doc =
           Option.value (C.Yaml_lite.find doc "base") ~default:C.Yaml_lite.Null
         in
-        let base = apply_overrides flags (C.Flow_config.of_yaml base_doc) in
+        let base = C.Flow_config.(apply flags (of_yaml base_doc)) in
         let ast = load_design file in
         let source = A.Flow.Ast ast in
         let plan = A.Advisor.plan_of_source ~base ~constraints:doc source in
@@ -564,12 +500,7 @@ let advise_cmd =
         let tagged =
           List.concat_map
             (fun (e : A.Advisor.entry) ->
-              let sp = e.A.Advisor.e_point in
-              List.map
-                (fun (d : D.t) ->
-                  { d with
-                    D.context = ("config", sp.A.Engine.sp_name) :: d.D.context })
-                sp.A.Engine.sp_diags)
+              A.Engine.point_diags e.A.Advisor.e_point)
             entries
         in
         render_diags fmt tagged;
@@ -760,7 +691,8 @@ let bench_cmd =
           0
         | Some b ->
           let config =
-            apply_overrides flags (if cfg2 then B.config2 b else B.config1 b)
+            C.Flow_config.apply flags
+              (if cfg2 then B.config2 b else B.config1 b)
           in
           let engine = A.Engine.of_config config in
           let flow =
@@ -854,20 +786,27 @@ let serve_cmd =
           invalid_arg
             "serve: nowhere to listen; give --listen ENDPOINT (or --socket \
              PATH)";
+        (* the flags join the base document every request is merged
+           over, so they shape requests as well as the engine; a
+           request's own keys still win, except [jobs], which the
+           operator forces *)
         let base =
-          match config with
-          | None -> C.Yaml_lite.Null
-          | Some path -> C.Yaml_lite.parse (read_file path)
+          C.Yaml_lite.merge
+            (match config with
+            | None -> C.Yaml_lite.Null
+            | Some path -> C.Yaml_lite.parse (read_file path))
+            flags
         in
-        let engine =
-          A.Engine.of_config
-            (apply_overrides flags (C.Flow_config.of_yaml base))
-        in
+        let engine_cfg = C.Flow_config.of_yaml base in
+        let engine = A.Engine.of_config engine_cfg in
         let server_cfg =
           { (S.Server.default_config ~socket_path:"/unused") with
             S.Server.listen; max_in_flight; max_queue; base;
-            jobs = flags.ov_jobs; deadline_s = deadline;
-            idle_timeout_s = idle_timeout }
+            jobs =
+              Option.map
+                (fun _ -> engine_cfg.C.Flow_config.jobs)
+                (C.Yaml_lite.find flags "jobs");
+            deadline_s = deadline; idle_timeout_s = idle_timeout }
         in
         (* the effective endpoints come from the live server, so a
            tcp:HOST:0 line carries the kernel-chosen port *)
@@ -1121,7 +1060,7 @@ let cache_cmd =
             | _ -> 1)
           | None ->
             let root =
-              match flags.ov_cache_dir with
+              match C.Flow_config.(apply flags default).cache_dir with
               | Some dir -> dir
               | None -> A.Disk_cache.default_root ()
             in

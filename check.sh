@@ -160,6 +160,43 @@ if cmp -s "$tmpdir/mout_cold.v" "$tmpdir/hout.v"; then
   exit 1
 fi
 
+# --- serve: the flow flags shape every request, not only the engine ---
+# the daemon runs from the built binary: `dune exec` serializes on the
+# build lock, which would defeat concurrent clients here and below
+ALICE=_build/default/bin/alice_cli.exe
+msock="$tmpdir/measured.sock"
+"$ALICE" serve --socket "$msock" -c "$tmpdir/gcd.yaml" --score measured \
+  --attack-budget 2000 --cache-dir "$tmpdir/mcache" --jobs 1 \
+  > /dev/null 2> "$tmpdir/serve_measured.log" &
+serve_pid=$!
+i=0
+until "$ALICE" client --connect "$msock" --op ping > /dev/null 2>&1; do
+  i=$((i + 1))
+  if [ "$i" -ge 50 ]; then
+    echo "check.sh: measured server did not come up; log:" >&2
+    cat "$tmpdir/serve_measured.log" >&2
+    exit 1
+  fi
+  sleep 0.1
+done
+# a plain request (no config of its own) must be scored by attacks
+"$ALICE" client --connect "$msock" --redact "$tmpdir/gcd.v" \
+  > "$tmpdir/mserve.json"
+attacks=$(sed -n 's/.*"attack":{"run":\([0-9]*\),"cached":\([0-9]*\).*/\1 \2/p' \
+  "$tmpdir/mserve.json")
+if [ -z "$attacks" ] || [ "$(echo "$attacks" | awk '{print $1 + $2}')" -eq 0 ]; then
+  echo "check.sh: serve --score measured answered without attacks:" >&2
+  cut -c1-400 "$tmpdir/mserve.json" >&2
+  exit 1
+fi
+"$ALICE" client --connect "$msock" --op shutdown > /dev/null
+if ! wait "$serve_pid"; then
+  echo "check.sh: measured server exited nonzero; log:" >&2
+  cat "$tmpdir/serve_measured.log" >&2
+  exit 1
+fi
+serve_pid=""
+
 # --- advisor: a cold advise emits a ranked Pareto front; a warm rerun -
 # --- resumes every candidate and renders byte-identically -------------
 cat > "$tmpdir/advise.yaml" <<'EOF'
@@ -205,9 +242,6 @@ fi
 
 # --- redaction service: 8 concurrent clients, warm stats, streaming ---
 # --- sweep, clean drain — once per transport (unix + tcp) -------------
-# the daemon is exercised through the built binary directly: `dune exec`
-# serializes on the build lock, which would defeat concurrent clients
-ALICE=_build/default/bin/alice_cli.exe
 
 "$ALICE" bench SOC --dump-source > "$tmpdir/soc.v"
 cat > "$tmpdir/soc.yaml" <<'EOF'

@@ -37,15 +37,6 @@ type score_formula = Reward | Penalty
     [attack_area_weight]. Default: [Heuristic]. *)
 type score_mode = Heuristic | Measured
 
-let score_mode_to_string = function
-  | Heuristic -> "heuristic"
-  | Measured -> "measured"
-
-let score_mode_of_string = function
-  | "heuristic" -> Heuristic
-  | "measured" -> Measured
-  | other -> invalid_arg (Printf.sprintf "score: %s" other)
-
 type t = {
   (* structural limits (CheckParameters in Algorithms 1 and 2) *)
   max_io_pins : int;        (** max aggregated I/O pins per eFPGA *)
@@ -93,9 +84,6 @@ type t = {
           registers and third-party logic) makes them dependent; when
           false (default) only a direct wire connection does *)
   (* resource budgets *)
-  solver_budget : int option;
-      (** conflict budget per SAT-solver call in security evaluation;
-          [None] leaves the solver unbounded *)
   characterize_deadline_s : float option;
       (** wall-clock deadline in seconds for characterizing the whole
           candidate set; clusters not started before the deadline are
@@ -120,17 +108,8 @@ type t = {
       (** fault-injection plan spec (test machinery — see
           {!Alice_fault.Fault.parse}); [None] falls back to
           [$ALICE_FAULT_PLAN] *)
-  (* client retry policy (alice client / scripted loops) *)
-  retry_attempts : int;
-      (** RPC attempts before giving up on E1003 busy / E1004 draining /
-          transient connection errors; [1] never retries *)
-  retry_base_delay_s : float;
-      (** first backoff delay; later delays grow exponentially with
-          decorrelated jitter, capped at 32x this value *)
-  retry_deadline_s : float option;
-      (** total wall-clock cap across all attempts; [None] lets the
-          attempt budget alone bound the wait *)
 }
+
 
 let default =
   { max_io_pins = 64; max_efpgas = 2; alpha = 1.0; beta = 1.0;
@@ -142,10 +121,9 @@ let default =
     attack_budget = 20_000; attack_iterations = 64; attack_jobs = 1;
     attack_area_weight = 0.25;
     transitive_independence = false;
-    solver_budget = None; characterize_deadline_s = None;
+    characterize_deadline_s = None;
     jobs = Domain.recommended_domain_count ();
-    cache = true; cache_dir = None; cache_max_bytes = None; fault_plan = None;
-    retry_attempts = 1; retry_base_delay_s = 0.05; retry_deadline_s = None }
+    cache = true; cache_dir = None; cache_max_bytes = None; fault_plan = None }
 
 (** The paper's cfg1: at most 64 I/O pins per eFPGA, up to two eFPGAs. *)
 let cfg1 = { default with max_io_pins = 64; max_efpgas = 2 }
@@ -153,177 +131,221 @@ let cfg1 = { default with max_io_pins = 64; max_efpgas = 2 }
 (** The paper's cfg2: at most 96 I/O pins, a single eFPGA. *)
 let cfg2 = { default with max_io_pins = 96; max_efpgas = 1 }
 
-let of_yaml (doc : Yaml_lite.t) : t =
-  let d = default in
-  let fabric = Option.value (Yaml_lite.find doc "fabric") ~default:Yaml_lite.Null in
-  let rank =
-    match Yaml_lite.get_string ~default:"highest" doc "rank_order" with
-    | "highest" -> Highest
-    | "lowest" -> Lowest
-    | other -> invalid_arg (Printf.sprintf "rank_order: %s" other)
-  in
-  { max_io_pins = Yaml_lite.get_int ~default:d.max_io_pins doc "max_io_pins";
-    max_efpgas = Yaml_lite.get_int ~default:d.max_efpgas doc "max_efpgas";
-    alpha = Yaml_lite.get_float ~default:d.alpha doc "alpha";
-    beta = Yaml_lite.get_float ~default:d.beta doc "beta";
-    lut_inputs = Yaml_lite.get_int ~default:d.lut_inputs fabric "lut_inputs";
-    luts_per_clb = Yaml_lite.get_int ~default:d.luts_per_clb fabric "luts_per_clb";
-    ffs_per_clb = Yaml_lite.get_int ~default:d.ffs_per_clb fabric "ffs_per_clb";
-    gpio_per_tile = Yaml_lite.get_int ~default:d.gpio_per_tile fabric "gpio_per_tile";
-    min_fabric_size = Yaml_lite.get_int ~default:d.min_fabric_size fabric "min_size";
-    max_fabric_size = Yaml_lite.get_int ~default:d.max_fabric_size fabric "max_size";
-    target_utilization =
-      Yaml_lite.get_float ~default:d.target_utilization fabric "target_utilization";
-    min_clb_utilization =
-      Yaml_lite.get_float ~default:d.min_clb_utilization fabric "min_clb_utilization";
-    selected_outputs = Yaml_lite.get_string_list ~default:[] doc "selected_outputs";
-    top = (match Yaml_lite.find doc "top" with
-           | Some (Yaml_lite.String s) -> Some s
-           | Some _ | None -> None);
-    min_score = Yaml_lite.get_int ~default:d.min_score doc "min_score";
-    rank_order = rank;
-    score_formula =
-      (match Yaml_lite.get_string ~default:"reward" doc "score_formula" with
-       | "reward" -> Reward
-       | "penalty" -> Penalty
-       | other -> invalid_arg (Printf.sprintf "score_formula: %s" other));
-    score_mode =
-      score_mode_of_string
-        (Yaml_lite.get_string ~default:(score_mode_to_string d.score_mode)
-           doc "score");
-    attack_budget =
-      (match Yaml_lite.find doc "attack_budget" with
-       | None | Some Yaml_lite.Null -> d.attack_budget
-       | Some (Yaml_lite.Int n) ->
-         if n <= 0 then invalid_arg "attack_budget: must be positive" else n
-       | Some _ -> invalid_arg "attack_budget: expected an integer");
-    attack_iterations =
-      (match Yaml_lite.find doc "attack_iterations" with
-       | None | Some Yaml_lite.Null -> d.attack_iterations
-       | Some (Yaml_lite.Int n) ->
-         if n <= 0 then invalid_arg "attack_iterations: must be positive"
-         else n
-       | Some _ -> invalid_arg "attack_iterations: expected an integer");
-    attack_jobs =
-      (match Yaml_lite.find doc "attack_jobs" with
-       | None | Some Yaml_lite.Null -> d.attack_jobs
-       | Some (Yaml_lite.Int n) ->
-         if n < 1 then invalid_arg "attack_jobs: must be at least 1" else n
-       | Some _ -> invalid_arg "attack_jobs: expected an integer");
-    attack_area_weight =
-      (let v =
-         Yaml_lite.get_float ~default:d.attack_area_weight doc
-           "attack_area_weight"
-       in
-       if v < 0.0 then invalid_arg "attack_area_weight: must be non-negative"
-       else v);
-    transitive_independence =
-      Yaml_lite.get_bool ~default:d.transitive_independence doc
-        "transitive_independence";
-    solver_budget =
-      (match Yaml_lite.find doc "solver_budget" with
-       | None | Some Yaml_lite.Null -> None
-       | Some (Yaml_lite.Int n) ->
-         if n <= 0 then invalid_arg "solver_budget: must be positive"
-         else Some n
-       | Some _ -> invalid_arg "solver_budget: expected an integer");
-    characterize_deadline_s =
-      (match Yaml_lite.find doc "characterize_deadline_s" with
-       | None | Some Yaml_lite.Null -> None
-       | Some (Yaml_lite.Int n) ->
-         if n <= 0 then invalid_arg "characterize_deadline_s: must be positive"
-         else Some (float_of_int n)
-       | Some (Yaml_lite.Float f) ->
-         if f <= 0.0 then invalid_arg "characterize_deadline_s: must be positive"
-         else Some f
-       | Some _ -> invalid_arg "characterize_deadline_s: expected a number");
-    jobs =
-      (match Yaml_lite.find doc "jobs" with
-       | None | Some Yaml_lite.Null -> d.jobs
-       | Some (Yaml_lite.Int n) ->
-         if n < 1 then invalid_arg "jobs: must be at least 1" else n
-       | Some _ -> invalid_arg "jobs: expected an integer");
-    cache = Yaml_lite.get_bool ~default:d.cache doc "cache";
-    cache_dir =
-      (match Yaml_lite.find doc "cache_dir" with
-       | None | Some Yaml_lite.Null -> None
-       | Some (Yaml_lite.String s) -> Some s
-       | Some _ -> invalid_arg "cache_dir: expected a string");
-    cache_max_bytes =
-      (match Yaml_lite.find doc "cache_max_bytes" with
-       | None | Some Yaml_lite.Null -> None
-       | Some (Yaml_lite.Int n) ->
-         if n < 0 then invalid_arg "cache_max_bytes: must be non-negative"
-         else Some n
-       | Some _ -> invalid_arg "cache_max_bytes: expected an integer");
-    fault_plan =
-      (match Yaml_lite.find doc "fault_plan" with
-       | None | Some Yaml_lite.Null -> None
-       | Some (Yaml_lite.String s) -> Some s
-       | Some _ -> invalid_arg "fault_plan: expected a string");
-    retry_attempts =
-      (match Yaml_lite.find doc "retry_attempts" with
-       | None | Some Yaml_lite.Null -> d.retry_attempts
-       | Some (Yaml_lite.Int n) ->
-         if n < 1 then invalid_arg "retry_attempts: must be at least 1"
-         else n
-       | Some _ -> invalid_arg "retry_attempts: expected an integer");
-    retry_base_delay_s =
-      (let v =
-         Yaml_lite.get_float ~default:d.retry_base_delay_s doc
-           "retry_base_delay_s"
-       in
-       if v < 0.0 then invalid_arg "retry_base_delay_s: must be non-negative"
-       else v);
-    retry_deadline_s =
-      (match Yaml_lite.find doc "retry_deadline_s" with
-       | None | Some Yaml_lite.Null -> None
-       | Some (Yaml_lite.Int n) ->
-         if n <= 0 then invalid_arg "retry_deadline_s: must be positive"
-         else Some (float_of_int n)
-       | Some (Yaml_lite.Float f) ->
-         if f <= 0.0 then invalid_arg "retry_deadline_s: must be positive"
-         else Some f
-       | Some _ -> invalid_arg "retry_deadline_s: expected a number") }
+(* ---------- the field table ---------- *)
 
-let of_string (src : string) : t = of_yaml (Yaml_lite.parse src)
+type role = Characterize | Attack | Result | Runtime
 
-(* Every field below feeds CreateEFPGA (synthesis target, fabric family,
-   permitted widths, utilization bounds) or bounds its solvers. Fields
-   that only steer later phases — selection weights, output filters,
-   ranking — are deliberately excluded so a persistent characterization
-   cache is shared across them. The [v1] prefix versions the derivation
-   itself: extending the list is a format change, not a silent rekey. *)
-let characterize_digest (c : t) : string =
-  let s =
-    Printf.sprintf
-      "v1;lut_inputs=%d;luts_per_clb=%d;ffs_per_clb=%d;gpio_per_tile=%d;\
-       min_fabric_size=%d;max_fabric_size=%d;target_utilization=%.17g;\
-       min_clb_utilization=%.17g;solver_budget=%s"
-      c.lut_inputs c.luts_per_clb c.ffs_per_clb c.gpio_per_tile
-      c.min_fabric_size c.max_fabric_size c.target_utilization
-      c.min_clb_utilization
-      (match c.solver_budget with None -> "-" | Some n -> string_of_int n)
-  in
-  Digest.to_hex (Digest.string s)
+module Y = Yaml_lite
 
-(* Same discipline for attack verdicts: only the fields that can change
-   what a budgeted attack run *returns* are keyed. [score_mode],
-   [attack_jobs] and [attack_area_weight] are deliberately excluded —
-   verdicts are bit-identical across job counts, and re-ranking with a
-   different area weight must reuse cached verdicts, not re-attack. *)
-let attack_digest (c : t) : string =
-  let s =
-    Printf.sprintf "v1;attack_budget=%d;attack_iterations=%d"
-      c.attack_budget c.attack_iterations
+(* A codec reads the value under [key] of its section (present and not
+   null) and prints it for the digests and [pp]. The printers are
+   injective, so two values never share a digest. *)
+type 'a codec = (Y.t -> string -> 'a) * ('a -> string)
+
+let int : int codec = ((fun sec key -> Y.get_int sec key), string_of_int)
+
+(* shortest decimal that reads back as the same float *)
+let float_text f =
+  let s = Printf.sprintf "%.15g" f in
+  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+(* a reader accepting the nodes [f] maps to [Some] *)
+let typed what f sec key =
+  match Option.bind (Y.find sec key) f with
+  | Some v -> v
+  | None -> invalid_arg (Printf.sprintf "%s: expected %s" key what)
+
+let integer : int codec =
+  (typed "an integer" (function Y.Int n -> Some n | _ -> None), string_of_int)
+
+let number : float codec =
+  ( typed "a number" (function
+      | Y.Int n -> Some (float_of_int n)
+      | Y.Float f -> Some f
+      | _ -> None),
+    float_text )
+
+let bool : bool codec =
+  (typed "a bool" (function Y.Bool b -> Some b | _ -> None), string_of_bool)
+
+let text : string codec =
+  ( typed "a string" (function Y.String s -> Some s | _ -> None),
+    Printf.sprintf "%S" )
+
+let checked what ok ((read, show) : 'a codec) : 'a codec =
+  ( (fun sec key ->
+      let v = read sec key in
+      if ok v then v
+      else invalid_arg (Printf.sprintf "%s: must be %s" key what)),
+    show )
+
+let some ((read, show) : 'a codec) : 'a option codec =
+  ( (fun sec key -> Some (read sec key)),
+    function None -> "-" | Some v -> show v )
+
+let lookup key cases s =
+  match List.assoc_opt s cases with
+  | Some v -> v
+  | None -> invalid_arg (Printf.sprintf "%s: %s" key s)
+
+let name_of cases v = fst (List.find (fun (_, v') -> v' = v) cases)
+
+let enum (cases : (string * 'a) list) : 'a codec =
+  ((fun sec key -> lookup key cases (Y.get_string sec key)), name_of cases)
+
+let score_modes = [ ("heuristic", Heuristic); ("measured", Measured) ]
+
+let score_mode_to_string = name_of score_modes
+
+let score_mode_of_string = lookup "score" score_modes
+
+type field = {
+  key : string;  (* YAML path; a fabric knob is "fabric.<name>" *)
+  role : role;
+  read : Y.t -> string -> t -> t;  (* section, name within it *)
+  show : t -> string;
+}
+
+let field key role ((read, show) : 'a codec) (get : t -> 'a)
+    (set : t -> 'a -> t) : field =
+  { key; role; read = (fun sec name c -> set c (read sec name));
+    show = (fun c -> show (get c)) }
+
+let positive = checked "positive" (fun n -> n > 0) integer
+
+let at_least_1 = checked "at least 1" (fun n -> n >= 1) integer
+
+(* One entry per record field, in record order. Reading, validation,
+   the digests and [pp] are all folds over this table. *)
+let table : field list =
+  [ field "max_io_pins" Result int (fun c -> c.max_io_pins)
+      (fun c v -> { c with max_io_pins = v });
+    field "max_efpgas" Result int (fun c -> c.max_efpgas)
+      (fun c v -> { c with max_efpgas = v });
+    field "alpha" Result number (fun c -> c.alpha)
+      (fun c v -> { c with alpha = v });
+    field "beta" Result number (fun c -> c.beta)
+      (fun c v -> { c with beta = v });
+    field "fabric.lut_inputs" Characterize int (fun c -> c.lut_inputs)
+      (fun c v -> { c with lut_inputs = v });
+    field "fabric.luts_per_clb" Characterize int (fun c -> c.luts_per_clb)
+      (fun c v -> { c with luts_per_clb = v });
+    field "fabric.ffs_per_clb" Characterize int (fun c -> c.ffs_per_clb)
+      (fun c v -> { c with ffs_per_clb = v });
+    field "fabric.gpio_per_tile" Characterize int (fun c -> c.gpio_per_tile)
+      (fun c v -> { c with gpio_per_tile = v });
+    field "fabric.min_size" Characterize int (fun c -> c.min_fabric_size)
+      (fun c v -> { c with min_fabric_size = v });
+    field "fabric.max_size" Characterize int (fun c -> c.max_fabric_size)
+      (fun c v -> { c with max_fabric_size = v });
+    field "fabric.target_utilization" Characterize number
+      (fun c -> c.target_utilization)
+      (fun c v -> { c with target_utilization = v });
+    field "fabric.min_clb_utilization" Characterize number
+      (fun c -> c.min_clb_utilization)
+      (fun c v -> { c with min_clb_utilization = v });
+    field "selected_outputs" Result
+      ( (fun sec key -> Y.get_string_list sec key),
+        fun l ->
+          "[" ^ String.concat ", " (List.map (Printf.sprintf "%S") l) ^ "]" )
+      (fun c -> c.selected_outputs)
+      (fun c v -> { c with selected_outputs = v });
+    (* a non-string [top] means "pick the root module", as it always has *)
+    field "top" Result
+      ( (fun sec key ->
+          match Y.find sec key with Some (Y.String s) -> Some s | _ -> None),
+        snd (some text) )
+      (fun c -> c.top) (fun c v -> { c with top = v });
+    field "min_score" Result int (fun c -> c.min_score)
+      (fun c v -> { c with min_score = v });
+    field "rank_order" Result
+      (enum [ ("highest", Highest); ("lowest", Lowest) ])
+      (fun c -> c.rank_order) (fun c v -> { c with rank_order = v });
+    field "score_formula" Result
+      (enum [ ("reward", Reward); ("penalty", Penalty) ])
+      (fun c -> c.score_formula) (fun c v -> { c with score_formula = v });
+    field "score" Result (enum score_modes) (fun c -> c.score_mode)
+      (fun c v -> { c with score_mode = v });
+    field "attack_budget" Attack positive
+      (fun c -> c.attack_budget) (fun c v -> { c with attack_budget = v });
+    field "attack_iterations" Attack positive
+      (fun c -> c.attack_iterations)
+      (fun c v -> { c with attack_iterations = v });
+    field "attack_jobs" Runtime at_least_1
+      (fun c -> c.attack_jobs) (fun c v -> { c with attack_jobs = v });
+    field "attack_area_weight" Result
+      (checked "non-negative" (fun v -> v >= 0.0) number)
+      (fun c -> c.attack_area_weight)
+      (fun c v -> { c with attack_area_weight = v });
+    field "transitive_independence" Result bool
+      (fun c -> c.transitive_independence)
+      (fun c v -> { c with transitive_independence = v });
+    field "characterize_deadline_s" Result
+      (some (checked "positive" (fun v -> v > 0.0) number))
+      (fun c -> c.characterize_deadline_s)
+      (fun c v -> { c with characterize_deadline_s = v });
+    field "jobs" Runtime at_least_1
+      (fun c -> c.jobs) (fun c v -> { c with jobs = v });
+    field "cache" Runtime bool (fun c -> c.cache)
+      (fun c v -> { c with cache = v });
+    field "cache_dir" Runtime (some text) (fun c -> c.cache_dir)
+      (fun c v -> { c with cache_dir = v });
+    field "cache_max_bytes" Runtime
+      (some (checked "non-negative" (fun n -> n >= 0) integer))
+      (fun c -> c.cache_max_bytes) (fun c v -> { c with cache_max_bytes = v });
+    field "fault_plan" Result (some text) (fun c -> c.fault_plan)
+      (fun c v -> { c with fault_plan = v }) ]
+
+let fields = List.map (fun f -> (f.key, f.role)) table
+
+(* built once: [apply] runs per request on the server *)
+let by_key : (string, field) Hashtbl.t =
+  let h = Hashtbl.create 64 in
+  List.iter (fun f -> Hashtbl.replace h f.key f) table;
+  h
+
+let apply (doc : Y.t) (base : t) : t =
+  let rec section prefix node c =
+    match node with
+    | Y.Null -> c
+    | Y.Map kvs ->
+      List.fold_left
+        (fun c (k, v) ->
+          let key = if prefix = "" then k else prefix ^ "." ^ k in
+          match Hashtbl.find_opt by_key key with
+          | Some f -> ( match v with Y.Null -> c | _ -> f.read node k c)
+          | None when prefix = "" && k = "fabric" -> section k v c
+          | None ->
+            invalid_arg (Printf.sprintf "%s: unknown configuration key" key))
+        c kvs
+    | _ ->
+      invalid_arg
+        (Printf.sprintf "%s: expected a map"
+           (if prefix = "" then "configuration" else prefix))
   in
-  Digest.to_hex (Digest.string s)
+  section "" doc base
+
+let of_yaml (doc : Y.t) : t = apply doc default
+
+let of_string (src : string) : t = of_yaml (Y.parse src)
+
+(* The key of every selected field is part of the digested text, so
+   adding, removing or re-roling a field rekeys by construction; the
+   [v1] prefix versions the printers. *)
+let digest (roles : role list) : t -> string =
+  let selected = List.filter (fun f -> List.mem f.role roles) table in
+  fun c ->
+    Digest.to_hex
+      (Digest.string
+         (String.concat ";"
+            ("v1" :: List.map (fun f -> f.key ^ "=" ^ f.show c) selected)))
+
+let characterize_digest = digest [ Characterize ]
+
+let attack_digest = digest [ Attack ]
 
 let pp fmt (c : t) =
-  Format.fprintf fmt
-    "@[<v>max_io_pins: %d@,max_efpgas: %d@,alpha: %g@,beta: %g@,fabric: %d-LUT x%d/CLB, %d GPIO/tile, W in [%d,%d], util<=%.2f@,outputs: [%s]@,min_score: %d@,rank: %s@]"
-    c.max_io_pins c.max_efpgas c.alpha c.beta c.lut_inputs c.luts_per_clb
-    c.gpio_per_tile c.min_fabric_size c.max_fabric_size c.target_utilization
-    (String.concat ", " c.selected_outputs)
-    c.min_score
-    (match c.rank_order with Highest -> "highest" | Lowest -> "lowest")
+  Format.fprintf fmt "@[<v>%a@]"
+    (Format.pp_print_list (fun fmt f ->
+         Format.fprintf fmt "%s: %s" f.key (f.show c)))
+    table

@@ -68,9 +68,6 @@ type t = {
   transitive_independence : bool;
       (** true: any dataflow path between two instances makes them
           dependent; false (default): only a direct wire connection *)
-  solver_budget : int option;
-      (** conflict budget per SAT-solver call in security evaluation;
-          [None] leaves the solver unbounded *)
   characterize_deadline_s : float option;
       (** wall-clock deadline in seconds for characterizing the whole
           candidate set; clusters not started before the deadline are
@@ -95,15 +92,6 @@ type t = {
       (** fault-injection plan spec (test machinery — see
           {!Alice_fault.Fault.parse}); [None] falls back to
           [$ALICE_FAULT_PLAN] *)
-  retry_attempts : int;
-      (** RPC attempts before giving up on E1003 busy / E1004 draining /
-          transient connection errors; [1] never retries *)
-  retry_base_delay_s : float;
-      (** first backoff delay; later delays grow exponentially with
-          decorrelated jitter, capped at 32x this value *)
-  retry_deadline_s : float option;
-      (** total wall-clock cap across all attempts; [None] lets the
-          attempt budget alone bound the wait *)
 }
 
 val default : t
@@ -114,28 +102,40 @@ val cfg1 : t
 (** The paper's cfg2: at most 96 I/O pins, a single eFPGA. *)
 val cfg2 : t
 
-(** Read a configuration from a parsed YAML document; unknown keys fall
-    back to {!default}. Raises [Invalid_argument] on type mismatches. *)
+(** What a field can change, which decides the digests keyed on it:
+    [Characterize] a cluster's CreateEFPGA outcome ({!characterize_digest});
+    [Attack] a budgeted attack verdict ({!attack_digest}); [Result] only
+    what a run selects or reports; [Runtime] only how a run executes —
+    parallelism and the cache's location and size — and no digest. *)
+type role = Characterize | Attack | Result | Runtime
+
+(** Every record field's YAML key and role, in record order; the fabric
+    knobs sit under a [fabric] map and are listed as ["fabric.<key>"]. *)
+val fields : (string * role) list
+
+(** [apply doc base] overlays the keys [doc] sets on [base]; absent or
+    null keys keep [base]'s value. Raises [Invalid_argument] on an
+    unknown key, a type mismatch or a value out of range. *)
+val apply : Yaml_lite.t -> t -> t
+
+(** [apply doc default]. *)
 val of_yaml : Yaml_lite.t -> t
 
 val of_string : string -> t
 
-(** Hex digest of every configuration field that can change a
-    characterization outcome (fabric family, permitted widths,
-    utilization bounds, solver budgets) — and none that cannot, so a
-    persistent cache is shared across selection-only variations. Two
-    configurations with equal digests always characterize a given
-    cluster identically; the digest is part of the cache key, so
-    configurations with different fabric parameters never share
-    entries. *)
+(** Hex digest of the keys and values of the fields whose role is in the
+    list. *)
+val digest : role list -> t -> string
+
+(** [digest [Characterize]], part of every characterization cache key:
+    configurations with different fabric parameters never share an
+    entry, selection-only variations do. *)
 val characterize_digest : t -> string
 
-(** Hex digest of every configuration field that can change an attack
-    verdict (the per-call conflict budget and the DIP-iteration cap) —
-    and none that cannot: [score_mode], [attack_jobs] and
-    [attack_area_weight] are excluded, so cached verdicts survive
-    re-ranking with a different area weight or parallelism. Part of the
-    attack-verdict cache key. *)
+(** [digest [Attack]], part of the attack-verdict cache key: re-ranking
+    with another [attack_area_weight], [score_mode] or [attack_jobs]
+    reuses cached verdicts. *)
 val attack_digest : t -> string
 
+(** One [key: value] line per field. *)
 val pp : Format.formatter -> t -> unit

@@ -208,26 +208,11 @@ let get_int ?default doc key =
                     | _ -> "non-int"))
   | None, None -> invalid_arg (Printf.sprintf "missing key %s" key)
 
-let get_float ?default doc key =
-  match (find doc key, default) with
-  | Some (Float f), _ -> f
-  | Some (Int i), _ -> float_of_int i
-  | (Some Null | None), Some d -> d
-  | Some _, _ -> invalid_arg (Printf.sprintf "key %s: expected float" key)
-  | None, None -> invalid_arg (Printf.sprintf "missing key %s" key)
-
 let get_string ?default doc key =
   match (find doc key, default) with
   | Some (String s), _ -> s
   | (Some Null | None), Some d -> d
   | Some _, _ -> invalid_arg (Printf.sprintf "key %s: expected string" key)
-  | None, None -> invalid_arg (Printf.sprintf "missing key %s" key)
-
-let get_bool ?default doc key =
-  match (find doc key, default) with
-  | Some (Bool b), _ -> b
-  | (Some Null | None), Some d -> d
-  | Some _, _ -> invalid_arg (Printf.sprintf "key %s: expected bool" key)
   | None, None -> invalid_arg (Printf.sprintf "missing key %s" key)
 
 let get_string_list ?default doc key =

@@ -26,11 +26,7 @@ val find : t -> string -> t option
 
 val get_int : ?default:int -> t -> string -> int
 
-val get_float : ?default:float -> t -> string -> float
-
 val get_string : ?default:string -> t -> string -> string
-
-val get_bool : ?default:bool -> t -> string -> bool
 
 val get_string_list : ?default:string list -> t -> string -> string list
 

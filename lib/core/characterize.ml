@@ -13,7 +13,7 @@
     stays sound when the cache outlives one run or one configuration.
 
     Characterizations are independent of each other (the paper's
-    per-cluster OpenFPGA fan-out), so {!run_all} deduplicates the
+    per-cluster OpenFPGA fan-out), so {!run_all_stats} deduplicates the
     candidate set by cache key up front, characterizes each unique
     module multiset once across an {!Alice_parallel.Pool} of worker
     domains, and fans the results back out to every aliasing cluster in
@@ -142,10 +142,6 @@ let keyer (design : V.Elaborate.design) (cfg : C.Flow_config.t) :
     in
     members ^ "#" ^ cfg_digest
 
-let cache_key (design : V.Elaborate.design) (cfg : C.Flow_config.t)
-    (cluster : Clustering.cluster) : string =
-  keyer design cfg cluster
-
 (* a short human label for diagnostics: the cluster's member instances *)
 let cluster_label (cluster : Clustering.cluster) : string =
   cluster.Clustering.members
@@ -223,18 +219,6 @@ let compute (design : V.Elaborate.design) (cfg : C.Flow_config.t)
         mapped = Some mapped }
     | Ok impl -> { cluster; outcome = Implemented impl; mapped = Some mapped }
     | Error f -> { cluster; outcome = Infeasible f; mapped = Some mapped })
-
-(** Characterize one cluster (cached). On a cache hit the shared result
-    is retargeted so any diagnostic names this cluster's own
-    instances. *)
-let run ?(cache : cache option) (design : V.Elaborate.design)
-    (cfg : C.Flow_config.t) (cluster : Clustering.cluster) : characterization =
-  match cache with
-  | None -> compute design cfg cluster
-  | Some memo ->
-    retarget cluster
-      (Memo.find_or_add memo (cache_key design cfg cluster) (fun () ->
-           compute design cfg cluster))
 
 (** Characterize every cluster; order preserved. Clusters are
     deduplicated by cache key up front — one computation per unique
@@ -336,6 +320,3 @@ let run_all_stats ?deadline_s ?(jobs = 1) ?(cache : cache option)
   ( results,
     { clusters = List.length clusters; unique = List.length uniques;
       cache_hits; computed = !computed; skipped = !skipped } )
-
-let run_all ?deadline_s ?jobs ?cache design cfg clusters =
-  fst (run_all_stats ?deadline_s ?jobs ?cache design cfg clusters)

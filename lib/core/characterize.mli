@@ -4,7 +4,7 @@
     LUT-mapped, and passed to the minimum-fabric search. Results are
     cached by member-module multiset (content-digested) plus the
     configuration's {!Alice_config.Flow_config.characterize_digest};
-    {!run_all} deduplicates by that key up front and characterizes the
+    {!run_all_stats} deduplicates by that key up front and characterizes the
     unique keys across a Domain-based worker pool, with output
     bit-identical to the serial order for any [jobs] value. The cache
     may be supplied by the caller (see {!Engine}) so it outlives one
@@ -40,7 +40,7 @@ val cluster_circuit :
   V.Elaborate.design -> C.Flow_config.t -> Clustering.cluster -> N.Circuit.t
 
 (** Shared characterization cache: a mutex-guarded memo table keyed by
-    {!cache_key}, safe to share across worker domains and across runs.
+    {!keyer}, safe to share across worker domains and across runs.
     Optional [load]/[save] hooks back it with a persistent store (see
     {!Alice_parallel.Memo} for the hook contract — hooks must not
     raise). *)
@@ -52,7 +52,7 @@ val create_cache :
   unit ->
   cache
 
-(** Per-{!run_all} accounting, in unique cache keys: [unique] distinct
+(** Per-{!run_all_stats} accounting, in unique cache keys: [unique] distinct
     keys among [clusters] requested, of which [cache_hits] came from
     the cache (in-memory or its backing store), [computed] were
     characterized in this run, and [skipped] fell to the deadline. *)
@@ -66,29 +66,14 @@ type stats = {
 
 val empty_stats : stats
 
-(** The cache key of a cluster: its member-module multiset with each
-    member tagged by a digest of its elaborated content, joined with
-    the configuration's characterization digest. Sound across designs
-    and configurations: same key implies same characterization
-    outcome. {!keyer} is the batch form — per-module digests and the
-    config digest are computed once. *)
-val cache_key :
-  V.Elaborate.design -> C.Flow_config.t -> Clustering.cluster -> string
-
+(** [keyer design cfg] keys clusters of [design]: a cluster's key is
+    its member-module multiset with each member tagged by a digest of
+    its elaborated content, joined with the configuration's
+    characterization digest. Sound across designs and configurations:
+    same key implies same characterization outcome. Per-module digests
+    and the config digest are computed once per [keyer] call. *)
 val keyer :
   V.Elaborate.design -> C.Flow_config.t -> Clustering.cluster -> string
-
-(** Characterize one cluster. Any exception escaping synthesis, LUT
-    mapping or the size search (except [Out_of_memory]) becomes a
-    [Failed] outcome carrying a classified diagnostic. On a cache hit
-    the shared result is retargeted so any diagnostic names this
-    cluster's own instances. *)
-val run :
-  ?cache:cache ->
-  V.Elaborate.design ->
-  C.Flow_config.t ->
-  Clustering.cluster ->
-  characterization
 
 (** Characterize every cluster; order preserved and output independent
     of [jobs] (default 1: strictly serial, no domain spawned).
@@ -100,17 +85,7 @@ val run :
     and deadline skips never stick across runs. With [deadline_s],
     computations not started before the wall-clock deadline come back
     [Skipped] with a [W0701] diagnostic; in-flight computations are
-    allowed to finish. *)
-val run_all :
-  ?deadline_s:float ->
-  ?jobs:int ->
-  ?cache:cache ->
-  V.Elaborate.design ->
-  C.Flow_config.t ->
-  Clustering.cluster list ->
-  characterization list
-
-(** {!run_all} plus this run's cache accounting. *)
+    allowed to finish. Also returns this run's cache accounting. *)
 val run_all_stats :
   ?deadline_s:float ->
   ?jobs:int ->

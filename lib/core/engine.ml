@@ -9,7 +9,7 @@
     exactly those characterizations. A cold run pays them once; every
     later run — in the same process via {!run_many}, or in a new
     process via the on-disk store — gets them back by content-addressed
-    lookup ({!Characterize.cache_key}: member-module content digests
+    lookup ({!Characterize.keyer}: member-module content digests
     plus the configuration's characterization digest), so results are
     identical to a cold run, just faster.
 
@@ -52,9 +52,8 @@ let create ?(cache = true) ?cache_dir ?max_bytes ?faults () : t =
   else begin
     let disk = Disk_cache.create ?root:cache_dir ?max_bytes ~faults () in
     let load key = Disk_cache.load disk ~key in
-    (* the disk layer only ever holds fabric verdicts: [run_all] already
-       refuses to cache faults and skips, and [Characterize.run]'s
-       single-cluster path goes through this same filter *)
+    (* the disk layer only ever holds fabric verdicts; [run_all_stats]
+       already refuses to cache faults and skips *)
     let save key (c : Characterize.characterization) =
       match c.Characterize.outcome with
       | Characterize.Implemented _ | Characterize.Infeasible _ ->
@@ -266,16 +265,46 @@ let summarize (name : string) (flow : Flow.t) : sweep_point =
     sp_resumed = false }
 
 (* A point's identity is everything that can change its result: the
-   name keys the row, the (config, source) marshal digests the work.
+   name keys the row; the source and every non-[Runtime] config field
+   key the work, so a rerun at another [jobs] or cache location resumes.
    The [v3] prefix versions the summary encoding itself — widening
    [sweep_point] (v2 added the attack counters, v3 the advisor's
    area/timing/security metrics) is a format change, not a silently
    garbled resume. *)
+let result_digest =
+  C.Flow_config.(digest [ Characterize; Attack; Result ])
+
 let point_key (name : string) (req : Flow.request) : string =
   Printf.sprintf "sweep-point v3 %s %s" name
     (Digest.to_hex
        (Digest.string
-          (Marshal.to_string (req.Flow.config, req.Flow.source) [])))
+          (result_digest req.Flow.config
+          ^ Marshal.to_string req.Flow.source [])))
+
+let sweep_points ~(config : C.Yaml_lite.t -> C.Flow_config.t)
+    ~(base : C.Yaml_lite.t) (entries : C.Yaml_lite.t list)
+    (source : Flow.source) : (string * Flow.request) list =
+  List.mapi
+    (fun i entry ->
+      let name =
+        C.Yaml_lite.get_string ~default:(Printf.sprintf "cfg%d" (i + 1))
+          entry "name"
+      in
+      let entry =
+        match entry with
+        | C.Yaml_lite.Map kvs -> C.Yaml_lite.Map (List.remove_assoc "name" kvs)
+        | other -> other
+      in
+      ( name,
+        Flow.request ~config:(config (C.Yaml_lite.merge base entry))
+          ~diags:(D.Collector.create ()) source ))
+    entries
+
+let point_diags (sp : sweep_point) : D.t list =
+  List.map
+    (fun (d : D.t) ->
+      { d with D.context = ("config", sp.sp_name) :: d.D.context })
+    sp.sp_diags
 
 (** Run a sweep with per-point checkpointing: each completed point's
     summary is written to the checkpoint store as soon as it finishes,

@@ -4,7 +4,7 @@
     {!Disk_cache} store — through which any number of flow
     {!Flow.request}s run.
 
-    Entries are content-addressed by {!Characterize.cache_key} (member
+    Entries are content-addressed by {!Characterize.keyer} (member
     module content digests plus the configuration's
     {!Alice_config.Flow_config.characterize_digest}), loaded lazily one
     key at a time, and survive process boundaries, so fabric-parameter
@@ -142,14 +142,28 @@ type sweep_point = {
     holding a full {!Flow.t}. *)
 val solution_fabrics : Flow.t -> string option
 
+(** [sweep_points ~config ~base entries source] is the named requests
+    of a sweep: entry [i], labelled by its [name] key (default
+    ["cfg<i+1>"]), is deep-merged over [base] without its [name], and
+    [config] turns the result into the request's configuration. Each
+    request gets its own diagnostics collector. *)
+val sweep_points :
+  config:(C.Yaml_lite.t -> C.Flow_config.t) -> base:C.Yaml_lite.t ->
+  C.Yaml_lite.t list -> Flow.source -> (string * Flow.request) list
+
+(** A point's diagnostics, each tagged with [config=<name>]. *)
+val point_diags : sweep_point -> D.t list
+
 (** [run_sweep t points] runs named requests sequentially through the
     engine's cache like {!run_many}, but checkpoints each point's
     summary into the persistent store the moment it completes: a sweep
     killed after [k] of [n] points (even with SIGKILL) resumes on rerun
     by serving those [k] summaries back — marked [sp_resumed] — and
     computing exactly the remaining [n - k]. A point's checkpoint key
-    digests its name, configuration and source, so editing the sweep
-    never reuses a stale row. [~resume:false] recomputes everything
+    digests its name, its source and every configuration field whose
+    {!C.Flow_config.role} is not [Runtime], so editing the sweep never
+    reuses a stale row, while a rerun at another [jobs] or cache
+    location resumes. [~resume:false] recomputes everything
     (checkpoints are still written). [~shared] selects {!run_shared}
     semantics for the underlying runs (servers); the default is {!run}.
     With caching off there are no checkpoints and this degrades to

@@ -92,10 +92,90 @@ let test_flow_config_defaults () =
   Alcotest.(check bool) "default reward" true
     (cfg.C.Flow_config.score_formula = C.Flow_config.Reward)
 
+(* ---------- the field table ---------- *)
+
+let test_table_complete () =
+  Alcotest.(check int) "one table entry per record field"
+    (Obj.size (Obj.repr C.Flow_config.default))
+    (List.length C.Flow_config.fields)
+
+(* one overlay per table key, each moving that field off its default *)
+let perturbations =
+  [ ("max_io_pins", "max_io_pins: 96");
+    ("max_efpgas", "max_efpgas: 1");
+    ("alpha", "alpha: 2.0");
+    ("beta", "beta: 0.5");
+    ("fabric.lut_inputs", "fabric:\n  lut_inputs: 6");
+    ("fabric.luts_per_clb", "fabric:\n  luts_per_clb: 8");
+    ("fabric.ffs_per_clb", "fabric:\n  ffs_per_clb: 8");
+    ("fabric.gpio_per_tile", "fabric:\n  gpio_per_tile: 4");
+    ("fabric.min_size", "fabric:\n  min_size: 3");
+    ("fabric.max_size", "fabric:\n  max_size: 12");
+    ("fabric.target_utilization", "fabric:\n  target_utilization: 0.7");
+    ("fabric.min_clb_utilization", "fabric:\n  min_clb_utilization: 0.3");
+    ("selected_outputs", "selected_outputs: [result]");
+    ("top", "top: gcd");
+    ("min_score", "min_score: 2");
+    ("rank_order", "rank_order: lowest");
+    ("score_formula", "score_formula: penalty");
+    ("score", "score: measured");
+    ("attack_budget", "attack_budget: 500");
+    ("attack_iterations", "attack_iterations: 8");
+    ("attack_jobs", "attack_jobs: 3");
+    ("attack_area_weight", "attack_area_weight: 0.5");
+    ("transitive_independence", "transitive_independence: true");
+    ("characterize_deadline_s", "characterize_deadline_s: 5");
+    ( "jobs",
+      Printf.sprintf "jobs: %d" (C.Flow_config.default.C.Flow_config.jobs + 1) );
+    ("cache", "cache: false");
+    ("cache_dir", "cache_dir: /var/cache/alice");
+    ("cache_max_bytes", "cache_max_bytes: 4096");
+    ("fault_plan", "fault_plan: \"cache.write=fail@1\"") ]
+
+let test_roles_key_digests () =
+  let module F = C.Flow_config in
+  let d = F.default in
+  let non_runtime = F.digest [ F.Characterize; F.Attack; F.Result ] in
+  List.iter
+    (fun (key, role) ->
+      let overlay =
+        match List.assoc_opt key perturbations with
+        | Some o -> o
+        | None -> Alcotest.failf "%s: no perturbation for this table key" key
+      in
+      let c = F.of_string overlay in
+      Alcotest.(check bool) (key ^ " moves off the default") true (c <> d);
+      let changes digest = digest c <> digest d in
+      Alcotest.(check bool) (key ^ " keys characterize_digest")
+        (role = F.Characterize) (changes F.characterize_digest);
+      Alcotest.(check bool) (key ^ " keys attack_digest") (role = F.Attack)
+        (changes F.attack_digest);
+      Alcotest.(check bool) (key ^ " keys the non-runtime digest")
+        (role <> F.Runtime) (changes non_runtime))
+    F.fields
+
+(* verdicts cached before the table existed must still be found *)
+let test_attack_digest_stable () =
+  Alcotest.(check string) "attack digest text unchanged"
+    (Digest.to_hex (Digest.string "v1;attack_budget=20000;attack_iterations=64"))
+    (C.Flow_config.attack_digest C.Flow_config.default)
+
+let test_unknown_keys () =
+  List.iter
+    (fun src ->
+      match C.Flow_config.of_string src with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%S must be rejected" src)
+    [ "solver_budget: 1"; "fabric:\n  min_sz: 3"; "fabric: 3" ]
+
 let tests =
   [ Alcotest.test_case "scalars" `Quick test_scalars;
     Alcotest.test_case "nesting" `Quick test_nesting;
     Alcotest.test_case "comments" `Quick test_comments_blanks;
     Alcotest.test_case "errors" `Quick test_errors;
     Alcotest.test_case "flow config" `Quick test_flow_config;
-    Alcotest.test_case "flow config defaults" `Quick test_flow_config_defaults ]
+    Alcotest.test_case "flow config defaults" `Quick test_flow_config_defaults;
+    Alcotest.test_case "field table complete" `Quick test_table_complete;
+    Alcotest.test_case "roles key the digests" `Quick test_roles_key_digests;
+    Alcotest.test_case "attack digest stable" `Quick test_attack_digest_stable;
+    Alcotest.test_case "unknown keys rejected" `Quick test_unknown_keys ]

@@ -86,9 +86,9 @@ let test_config_digest_in_key () =
   Alcotest.(check bool) "digest differs on fabric bound" true
     (C.Flow_config.characterize_digest cfg_a
      <> C.Flow_config.characterize_digest cfg_b);
-  let key_a = A.Characterize.cache_key flow.A.Flow.design cfg_a cluster in
-  let key_b = A.Characterize.cache_key flow.A.Flow.design cfg_b cluster in
-  let key_c = A.Characterize.cache_key flow.A.Flow.design cfg_c cluster in
+  let key_a = A.Characterize.keyer flow.A.Flow.design cfg_a cluster in
+  let key_b = A.Characterize.keyer flow.A.Flow.design cfg_b cluster in
+  let key_c = A.Characterize.keyer flow.A.Flow.design cfg_c cluster in
   Alcotest.(check bool) "keys differ on fabric bound" true (key_a <> key_b);
   Alcotest.(check bool) "keys differ on lut arch" true (key_a <> key_c);
   (* so two such configs can never share an on-disk entry *)
@@ -99,7 +99,7 @@ let test_config_digest_in_key () =
   let cfg_sel = { demo_cfg with C.Flow_config.alpha = 9.0; max_efpgas = 1 } in
   Alcotest.(check string) "selection knobs reuse"
     key_a
-    (A.Characterize.cache_key flow.A.Flow.design cfg_sel cluster)
+    (A.Characterize.keyer flow.A.Flow.design cfg_sel cluster)
 
 (* ---------- on-disk store: round trip and degradation ---------- *)
 
@@ -419,6 +419,37 @@ let test_sweep_on_point_after_checkpoint () =
     [ ("p1", true); ("p2", false) ]
     (List.rev !delivered)
 
+(* a checkpoint keys on what a point computes, not on how it ran: a
+   rerun at another [jobs] (or cache location, as server request
+   configs carry) resumes every point, while a result-relevant knob
+   still recomputes *)
+let test_sweep_resumes_across_jobs () =
+  let root = tmp_root () in
+  let points (cfg : C.Flow_config.t) =
+    [ ("p1", A.Flow.request ~config:cfg
+               (A.Flow.Text { text = demo_src; file = Some "demo.v" }));
+      ("p2",
+       A.Flow.request
+         ~config:{ cfg with C.Flow_config.max_fabric_size = 8 }
+         (A.Flow.Text { text = demo_src; file = Some "demo.v" })) ]
+  in
+  let sweep cfg =
+    A.Engine.run_sweep (A.Engine.create ~cache_dir:root ()) (points cfg)
+  in
+  let resumed sps = List.map (fun sp -> sp.A.Engine.sp_resumed) sps in
+  let cold = sweep { demo_cfg with C.Flow_config.jobs = 1 } in
+  Alcotest.(check (list bool)) "cold computes" [ false; false ] (resumed cold);
+  let rerun =
+    sweep
+      { demo_cfg with
+        C.Flow_config.jobs = 2; attack_jobs = 2; cache_dir = Some root }
+  in
+  Alcotest.(check (list bool)) "jobs=2 rerun resumes every point"
+    [ true; true ] (resumed rerun);
+  let changed = sweep { demo_cfg with C.Flow_config.max_efpgas = 1 } in
+  Alcotest.(check (list bool)) "max_efpgas change recomputes" [ false; false ]
+    (resumed changed)
+
 let tests =
   [ Alcotest.test_case "memo hooks" `Quick test_memo_hooks;
     Alcotest.test_case "concurrent writers same dir" `Quick
@@ -438,4 +469,6 @@ let tests =
     Alcotest.test_case "sweep shares one attack pool" `Quick
       test_sweep_shares_attack_pool;
     Alcotest.test_case "on_point after checkpoint" `Quick
-      test_sweep_on_point_after_checkpoint ]
+      test_sweep_on_point_after_checkpoint;
+    Alcotest.test_case "sweep resumes across jobs" `Quick
+      test_sweep_resumes_across_jobs ]

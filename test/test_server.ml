@@ -474,7 +474,24 @@ let test_server_error_paths () =
           Alcotest.(check bool) "missing file fails" false (J.get_bool e "ok");
           let pong = J.parse (S.Client.rpc conn (S.Protocol.ping_request ())) in
           Alcotest.(check bool) "connection survives" true
-            (J.get_bool pong "ok")))
+            (J.get_bool pong "ok"));
+      (* a configuration key the flow does not know is a config error,
+         not a silently ignored knob *)
+      List.iter
+        (fun config ->
+          let e =
+            J.parse
+              (rpc socket
+                 (S.Protocol.redact_request ~config:(J.parse config)
+                    (S.Protocol.Inline demo_src)))
+          in
+          Alcotest.(check bool) (config ^ " rejected") false (J.get_bool e "ok");
+          match J.find e "error" with
+          | Some err ->
+            Alcotest.(check string) (config ^ " E0602") "E0602"
+              (J.get_string err "code")
+          | None -> Alcotest.fail "no error object")
+        [ {|{"solver_budget":1}|}; {|{"fabric":{"min_sz":3}}|} ])
 
 let test_server_invalid_op_metrics () =
   (* regression: requests that fail to parse used to be invisible to
