@@ -452,27 +452,7 @@ let run_ablation () =
     (List.length enum) t_enum
     (List.length (A.Filtering.candidate_instances filt));
   let keys l = List.sort compare (List.map (fun (c : A.Clustering.cluster) -> c.A.Clustering.key) l) in
-  Format.printf "  result sets identical: %b@." (keys fixed = keys enum);
-
-  section "Ablation 5: placement effort (greedy hill climb vs annealing)";
-  List.iter
-    (fun (bench, module_name, w) ->
-      let bm = Option.get (B.find bench) in
-      let design = B.elaborate bm in
-      let mapped, _ =
-        Alice_netlist.Lutmap.map ~k:4
-          (Alice_netlist.Synth.synthesize_module design module_name)
-      in
-      let fabric = F.Fabric.make F.Arch.default w in
-      let g, tg = time (fun () -> F.Place.place ~effort:`Greedy fabric mapped) in
-      let a, ta = time (fun () -> F.Place.place ~effort:`Anneal fabric mapped) in
-      Format.printf
-        "  %-18s %dx%d: greedy HPWL %7.0f (%5.2fs)   anneal HPWL %7.0f (%5.2fs)  %+.0f%%@."
-        (bench ^ "/" ^ module_name) w w g.F.Place.wirelength tg
-        a.F.Place.wirelength ta
-        (100.0 *. (a.F.Place.wirelength -. g.F.Place.wirelength)
-         /. Float.max 1.0 g.F.Place.wirelength))
-    [ ("GCD", "subtractor", 6); ("SASC", "sasc_fifo", 8); ("SHA256", "kconst_rom", 13) ]
+  Format.printf "  result sets identical: %b@." (keys fixed = keys enum)
 
 (* ------------------------------------------------------------------ *)
 (* SoC context: Section 7's remark that GCD's fabrics dominate its     *)

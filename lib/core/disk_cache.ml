@@ -298,6 +298,15 @@ let ensure_used_bytes (t : t) : int =
         | Some used -> used  (* another thread scanned first *)
         | None -> t.used_bytes <- Some total; total)
 
+(* A temp name no other write can share: server threads all run on
+   domain 0, and other processes may share the directory, so the pid
+   and domain alone would collide. *)
+let temp_counter = Atomic.make 0
+
+let temp_path (path : string) : string =
+  Printf.sprintf "%s.tmp.%d.%d.%d" path (Unix.getpid ())
+    (Domain.self () :> int) (Atomic.fetch_and_add temp_counter 1)
+
 let store (t : t) ~(key : string) (v : 'a) : unit =
   if writes_enabled t then begin
     let path = entry_path t key in
@@ -327,9 +336,7 @@ let store (t : t) ~(key : string) (v : 'a) : unit =
         | Some Fi.Torn -> String.sub payload 0 (String.length payload / 2)
         | _ -> payload
       in
-      let tmp =
-        Printf.sprintf "%s.tmp.%d" path (Domain.self () :> int)
-      in
+      let tmp = temp_path path in
       let oc = open_out_bin tmp in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)

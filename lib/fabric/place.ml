@@ -192,32 +192,34 @@ let total_wirelength clbs io_sites : float =
   let nets = net_positions clbs io_sites in
   Hashtbl.fold (fun _net positions acc -> acc +. hpwl positions) nets 0.0
 
-(** Placement effort: [`Greedy] is the default pairwise-swap hill climb;
-    [`Anneal] follows it with simulated annealing (Metropolis acceptance,
-    geometric cooling), buying lower wirelength for more runtime. *)
-type effort = [ `Greedy | `Anneal ]
+(** The capacity checks a width must pass before anything is placed:
+    [clbs] packed CLBs against the grid's sites, then [io_bits] port bits
+    against the pad ring. *)
+let check_fit (fabric : Fabric.t) ~(clbs : int) ~(io_bits : int) :
+    fit_failure option =
+  let width = fabric.Fabric.width in
+  if clbs > Fabric.clb_count fabric then
+    Some (fit_failure ~width ~resource:`Clb ~needed:clbs
+            ~available:(Fabric.clb_count fabric))
+  else if io_bits > Fabric.io_capacity fabric then
+    Some (fit_failure ~width ~resource:`Io ~needed:io_bits
+            ~available:(Fabric.io_capacity fabric))
+  else None
 
-(** Place a packed netlist onto the fabric. Raises {!Does_not_fit} when
-    there are more CLBs than grid sites or more I/O bits than pads. *)
-let place ?(effort : effort = `Greedy) (fabric : Fabric.t) (c : Circuit.t) :
+(** Place already-packed CLBs onto the fabric. Raises {!Does_not_fit}
+    when {!check_fit} rejects the width. *)
+let place_packed (fabric : Fabric.t) (c : Circuit.t) (clusters : clb list) :
     placement =
-  let clusters = pack fabric.Fabric.arch c in
   let w = fabric.Fabric.width in
-  if List.length clusters > Fabric.clb_count fabric then
-    raise (Does_not_fit
-             (fit_failure ~width:w ~resource:`Clb
-                ~needed:(List.length clusters)
-                ~available:(Fabric.clb_count fabric)));
   (* I/O bits on the top (y = w) and bottom (y = -1) pad rows *)
   let io_bits =
     List.concat_map (fun (_, nets) -> Array.to_list nets) c.Circuit.inputs
     @ List.concat_map (fun (_, nets) -> Array.to_list nets) c.Circuit.outputs
   in
-  if List.length io_bits > Fabric.io_capacity fabric then
-    raise (Does_not_fit
-             (fit_failure ~width:w ~resource:`Io
-                ~needed:(List.length io_bits)
-                ~available:(Fabric.io_capacity fabric)));
+  Option.iter
+    (fun fe -> raise (Does_not_fit fe))
+    (check_fit fabric ~clbs:(List.length clusters)
+       ~io_bits:(List.length io_bits));
   let gpio = fabric.Fabric.arch.Arch.gpio_per_tile in
   let io_sites =
     List.mapi
@@ -302,42 +304,11 @@ let place ?(effort : effort = `Greedy) (fabric : Fabric.t) (c : Circuit.t) :
       done
     done
   done;
-  (* optional simulated-annealing refinement *)
-  (match effort with
-  | `Greedy -> ()
-  | `Anneal ->
-    let st = Random.State.make [| 0x5ca1ab1e; n |] in
-    let temperature = ref (Float.max 1.0 (!cost /. float_of_int (max 1 n))) in
-    while !temperature > 0.05 do
-      for _move = 1 to 8 * n do
-        if n >= 2 then begin
-          let i = Random.State.int st n in
-          let j = Random.State.int st n in
-          if i <> j then begin
-            let touched = List.sort_uniq compare (clb_nets.(i) @ clb_nets.(j)) in
-            let before = net_cost touched in
-            let ci, pi = clbs.(i) and cj, pj = clbs.(j) in
-            clbs.(i) <- (ci, pj);
-            clbs.(j) <- (cj, pi);
-            let after = net_cost touched in
-            let delta = after -. before in
-            let accept =
-              delta <= 0.0
-              || Random.State.float st 1.0 < exp (-.delta /. !temperature)
-            in
-            if accept then cost := !cost +. delta
-            else begin
-              clbs.(i) <- (ci, pi);
-              clbs.(j) <- (cj, pj)
-            end
-          end
-        end
-      done;
-      temperature := !temperature *. 0.85
-    done;
-    (* recompute exactly: accumulated deltas drift *)
-    cost := total_wirelength clbs io_sites);
   { fabric; clbs = Array.to_list clbs; io_sites; wirelength = !cost }
+
+(** Place a circuit onto the fabric: {!pack} then {!place_packed}. *)
+let place (fabric : Fabric.t) (c : Circuit.t) : placement =
+  place_packed fabric c (pack fabric.Fabric.arch c)
 
 let clbs_used (p : placement) = List.length p.clbs
 

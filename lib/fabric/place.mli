@@ -49,13 +49,20 @@ val element_nets : logic_element -> Circuit.net list
 (** Greedy connectivity-driven packing into CLBs. *)
 val pack : Arch.t -> Circuit.t -> clb list
 
-(** Placement effort: [`Greedy] (default) pairwise-swap hill climbing;
-    [`Anneal] adds a simulated-annealing refinement. *)
-type effort = [ `Anneal | `Greedy ]
+(** The checks a width must pass before anything is placed: [clbs]
+    packed CLBs against the grid's sites, then [io_bits] port bits
+    against the pad ring. [None] when both fit; otherwise the first
+    failure, exactly the payload {!place_packed} would raise. *)
+val check_fit : Fabric.t -> clbs:int -> io_bits:int -> fit_failure option
 
-(** Place a circuit onto the fabric; raises {!Does_not_fit} when CLBs or
-    I/O bits exceed capacity. *)
-val place : ?effort:effort -> Fabric.t -> Circuit.t -> placement
+(** Place CLBs already produced by {!pack} for this circuit onto the
+    fabric; raises {!Does_not_fit} when {!check_fit} rejects the width.
+    Packing does not depend on the width, so a size search packs once
+    and places the same CLBs at each width it tries. *)
+val place_packed : Fabric.t -> Circuit.t -> clb list -> placement
+
+(** [place fabric c] is [place_packed fabric c (pack fabric.arch c)]. *)
+val place : Fabric.t -> Circuit.t -> placement
 
 val clbs_used : placement -> int
 

@@ -4,9 +4,11 @@
     the next index, compute outside any lock, and write into a
     per-index slot of a shared results array (disjoint cells, so no
     further synchronization is needed; [Domain.join] publishes the
-    writes to the caller). Input order is preserved by construction —
-    slot [i] always holds task [i]'s outcome — which is what lets the
-    flow keep its serial output byte-identical under parallelism. *)
+    writes to the caller). The calling domain runs the same worker loop,
+    so a batch spawns one domain fewer than it has workers. Input order
+    is preserved by construction — slot [i] always holds task [i]'s
+    outcome — which is what lets the flow keep its serial output
+    byte-identical under parallelism. *)
 
 module Fi = Alice_fault.Fault
 
@@ -49,20 +51,6 @@ let map_ordered ?(should_stop = fun () -> false) ?faults (pool : t)
   let tasks = Array.of_list xs in
   let n = Array.length tasks in
   if n = 0 then []
-  else if pool.jobs = 1 then begin
-    (* serial bypass: no domain is spawned; semantics are exactly the
-       historical serial loop (stop check before each task), with
-       injected worker death contained per-slot like a parallel run *)
-    let results = Array.make n Skipped in
-    Array.iteri
-      (fun i x ->
-        if not (should_stop ()) then
-          match check_worker_alive ~faults results i with
-          | () -> results.(i) <- run_task ~faults f x
-          | exception Fi.Injected _ -> ())
-      tasks;
-    Array.to_list results
-  end
   else begin
     let results = Array.make n Skipped in
     let next = Atomic.make 0 in
@@ -92,9 +80,13 @@ let map_ordered ?(should_stop = fun () -> false) ?faults (pool : t)
       in
       supervise ()
     in
-    let workers =
-      Array.init (min pool.jobs n) (fun _ -> Domain.spawn worker)
+    (* the caller is one of the workers: it drains tasks alongside the
+       [min jobs n - 1] spawned domains instead of idling in join, and
+       with [jobs = 1] it is the only one *)
+    let helpers =
+      Array.init (min pool.jobs n - 1) (fun _ -> Domain.spawn worker)
     in
-    Array.iter Domain.join workers;
+    worker ();
+    Array.iter Domain.join helpers;
     Array.to_list results
   end

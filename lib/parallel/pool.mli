@@ -1,9 +1,10 @@
 (** Bounded Domain-based work pool.
 
     A pool is a parallelism budget: {!map_ordered} fans a task list out
-    over at most [jobs] worker domains and returns the results in input
-    order, so callers that were previously serial [List.map]s keep their
-    output order (and therefore their downstream determinism) unchanged.
+    over at most [jobs] workers — the calling domain plus [jobs - 1]
+    spawned domains — and returns the results in input order, so
+    callers that were previously serial [List.map]s keep their output
+    order (and therefore their downstream determinism) unchanged.
 
     Fault isolation survives parallelism: an exception raised by one
     task is captured as its own {!outcome} and never kills a sibling
@@ -23,9 +24,10 @@
 type t
 
 (** [create ~jobs] is a pool dispatching at most [max 1 jobs] tasks
-    concurrently. Worker domains are spawned per {!map_ordered} batch
-    (never more than the batch size) and joined before it returns, so a
-    pool holds no resources between calls and needs no shutdown. *)
+    concurrently. Helper domains are spawned per {!map_ordered} batch
+    (one fewer than [min jobs batch_size], since the caller works too)
+    and joined before it returns, so a pool holds no resources between
+    calls and needs no shutdown. *)
 val create : jobs:int -> t
 
 val jobs : t -> int
@@ -46,9 +48,9 @@ type 'a outcome =
     [should_stop] is polled immediately before each task is dispatched;
     once it returns [true], no further task starts (in-flight tasks
     finish) and every undispatched task's outcome is [Skipped]. With
-    [jobs = 1] no domain is spawned and the tasks run sequentially in
-    the calling domain — byte-identical to a serial [List.map] with the
-    same dispatch-time stop check. [faults] (default
+    [jobs = 1] the caller is the only worker: no domain is spawned and
+    the tasks run in input order in the calling domain, like a serial
+    [List.map] with the same dispatch-time stop check. [faults] (default
     {!Alice_fault.Fault.global}) arms the ["pool.task"] and
     ["pool.worker"] injection sites. *)
 val map_ordered :

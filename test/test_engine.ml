@@ -119,6 +119,29 @@ let test_disk_round_trip () =
   Alcotest.(check int) "misses" 1 s.A.Disk_cache.disk_misses;
   Alcotest.(check int) "failures" 0 s.A.Disk_cache.failures
 
+(* server worker threads all run on one domain: concurrent stores of
+   one key must not share a temporary file, or one thread's rename
+   steals the other's and the store disables itself with W0703 *)
+let test_disk_concurrent_same_key () =
+  let store = A.Disk_cache.create ~root:(tmp_root ()) () in
+  let warned = ref [] in
+  let warned_mu = Mutex.create () in
+  A.Disk_cache.set_sink store (fun d ->
+      Mutex.protect warned_mu (fun () -> warned := d :: !warned));
+  let value = (42, String.make 4096 'x') in
+  let writer () =
+    for _ = 1 to 200 do A.Disk_cache.store store ~key:"shared" value done
+  in
+  let threads = List.init 2 (fun _ -> Thread.create writer ()) in
+  List.iter Thread.join threads;
+  A.Disk_cache.clear_sink store;
+  Alcotest.(check (list string)) "no warning" []
+    (List.map (fun (d : D.t) -> d.D.code) !warned);
+  Alcotest.(check bool) "writes still enabled" true
+    (A.Disk_cache.writes_enabled store);
+  Alcotest.(check (option (pair int string))) "entry loads back intact"
+    (Some value) (A.Disk_cache.load store ~key:"shared")
+
 (* degrade [store]'s entry for [key] with [mangle], then expect a miss
    plus exactly one W0702 through the sink *)
 let check_degrades name store key mangle =
@@ -457,6 +480,8 @@ let tests =
     Alcotest.test_case "config digest in cache key" `Quick
       test_config_digest_in_key;
     Alcotest.test_case "disk round trip" `Quick test_disk_round_trip;
+    Alcotest.test_case "concurrent stores of one key" `Quick
+      test_disk_concurrent_same_key;
     Alcotest.test_case "unusable entries degrade" `Quick
       test_unusable_entries_degrade;
     Alcotest.test_case "warm engine bit-identical" `Quick

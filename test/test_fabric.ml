@@ -100,6 +100,146 @@ let test_size_search_failures () =
   | Error f -> Alcotest.fail ("unexpected failure: " ^ F.Size_search.failure_to_string f)
   | Ok _ -> Alcotest.fail "expected failure on max_size 2")
 
+(* ---------- differential: pack once vs place at every width ---------- *)
+
+(* The size search as it ran before packing was hoisted: [Place.place]
+   (which packs) at every width, the utilization test after placing. *)
+let reference_minimum arch ~min_size ~max_size ~target_utilization mapped =
+  let module S = F.Size_search in
+  if N.Circuit.io_bit_count mapped = 0 then Error S.Empty_circuit
+  else
+    let rec search w last_no_route last_no_fit =
+      if w > max_size then
+        match (last_no_route, last_no_fit) with
+        | Some cg, _ -> Error (S.Unroutable cg)
+        | None, Some fe -> Error (S.Too_large fe)
+        | None, None ->
+          Error
+            (S.Too_large
+               (F.Place.fit_failure ~width:max_size ~resource:`Clb ~needed:0
+                  ~available:0))
+      else
+        let fabric = F.Fabric.make arch w in
+        match F.Place.place fabric mapped with
+        | exception F.Place.Does_not_fit fe ->
+          search (w + 1) last_no_route (Some fe)
+        | placement ->
+          let clbs_used = F.Place.clbs_used placement in
+          let clb_cap = F.Fabric.clb_count fabric in
+          let budget = S.clb_budget ~target_utilization ~clb_cap in
+          if clbs_used > budget then
+            search (w + 1) last_no_route
+              (Some
+                 (F.Place.fit_failure ~width:w ~resource:`Utilization
+                    ~needed:clbs_used ~available:budget))
+          else
+            let routing = F.Route.route placement in
+            if not routing.F.Route.routable then
+              search (w + 1)
+                (Some
+                   { S.cg_width = w; cg_demand = routing.F.Route.max_demand;
+                     cg_tracks = routing.F.Route.tracks_available })
+                last_no_fit
+            else
+              let io_used = N.Circuit.io_bit_count mapped in
+              Ok
+                { S.fabric; placement; routing;
+                  luts_used = N.Circuit.lut_count mapped;
+                  ffs_used = N.Circuit.dff_count mapped; io_used; clbs_used;
+                  io_util =
+                    float_of_int io_used
+                    /. float_of_int (F.Fabric.io_capacity fabric);
+                  clb_util = float_of_int clbs_used /. float_of_int clb_cap;
+                  bitstream_bits = F.Bitstream.length fabric;
+                  lut_depth = N.Lutmap.depth mapped }
+    in
+    search (max 1 min_size) None None
+
+let test_place_packed_equals_place () =
+  let mapped = mapped_of small_design in
+  List.iter
+    (fun w ->
+      let fabric = F.Fabric.make arch w in
+      Alcotest.(check bool)
+        (Printf.sprintf "%dx%d: place = place_packed of pack" w w)
+        true
+        (F.Place.place fabric mapped
+         = F.Place.place_packed fabric mapped (F.Place.pack arch mapped)))
+    [ 3; 5; 8 ]
+
+let test_size_search_matches_reference () =
+  let module A = Alice in
+  let module B = Alice_benchmarks.Suite in
+  let module C = Alice_config.Flow_config in
+  let compared = ref 0 in
+  List.iter
+    (fun (name, cfg_name) ->
+      let b = Option.get (B.find name) in
+      let cfg = if cfg_name = "cfg1" then B.config1 b else B.config2 b in
+      let flow =
+        A.Flow.run_request (A.Flow.request ~config:cfg (A.Flow.Ast (B.parse b)))
+      in
+      let key_of = A.Characterize.keyer flow.A.Flow.design cfg in
+      let arch = F.Arch.of_config cfg in
+      let seen = Hashtbl.create 64 in
+      List.iter
+        (fun (c : A.Characterize.characterization) ->
+          let key = key_of c.A.Characterize.cluster in
+          match c.A.Characterize.mapped with
+          | Some mapped when not (Hashtbl.mem seen key) ->
+            Hashtbl.add seen key ();
+            incr compared;
+            let search f =
+              f arch ~min_size:cfg.C.min_fabric_size
+                ~max_size:cfg.C.max_fabric_size
+                ~target_utilization:cfg.C.target_utilization mapped
+            in
+            let got = search F.Size_search.minimum
+            and want = search reference_minimum in
+            let label =
+              Printf.sprintf "%s/%s %s" name cfg_name
+                c.A.Characterize.cluster.A.Clustering.key
+            in
+            Alcotest.(check bool) (label ^ ": same result") true (got = want);
+            (match (got, want) with
+            | Ok g, Ok w ->
+              Alcotest.(check bool) (label ^ ": same bitstream") true
+                (F.Bitstream.generate g.F.Size_search.placement mapped
+                 = F.Bitstream.generate w.F.Size_search.placement mapped)
+            | _ -> ())
+          | Some _ | None -> ())
+        flow.A.Flow.characterized)
+    (List.concat_map
+       (fun name -> [ (name, "cfg1"); (name, "cfg2") ])
+       [ "GCD"; "SASC"; "FIR"; "USB_PHY" ]);
+  Alcotest.(check bool) "clusters compared" true (!compared > 0)
+
+(* one Too_large per resource: the payload at [max_size] is the
+   reference's, byte for byte *)
+let test_too_large_payloads () =
+  let pins_only =
+    mapped_of
+      {|module m (input [39:0] a, output [39:0] y); assign y = a; endmodule|}
+  in
+  let small = mapped_of small_design in
+  List.iter
+    (fun (what, mapped, max_size, resource) ->
+      let search f =
+        f arch ~min_size:1 ~max_size ~target_utilization:0.5 mapped
+      in
+      let got = search F.Size_search.minimum in
+      Alcotest.(check bool) (what ^ ": same as reference") true
+        (got = search reference_minimum);
+      match got with
+      | Error (F.Size_search.Too_large fe) ->
+        Alcotest.(check bool) (what ^ ": resource") true
+          (fe.F.Place.fit_resource = resource);
+        Alcotest.(check int) (what ^ ": at max_size") max_size
+          fe.F.Place.fit_width
+      | Ok _ | Error _ -> Alcotest.fail (what ^ ": expected Too_large"))
+    [ ("clb", small, 1, `Clb); ("io", pins_only, 2, `Io);
+      ("utilization", small, 2, `Utilization) ]
+
 let test_clb_budget_boundary () =
   (* the integer CLB budget shared by the feasibility comparison and the
      fit-failure payload: exactly the target is feasible, one more CLB
@@ -235,6 +375,12 @@ let tests =
     Alcotest.test_case "size search" `Quick test_size_search;
     Alcotest.test_case "size search failures" `Quick test_size_search_failures;
     Alcotest.test_case "clb budget boundary" `Quick test_clb_budget_boundary;
+    Alcotest.test_case "place_packed equals place" `Quick
+      test_place_packed_equals_place;
+    Alcotest.test_case "size search matches place-per-width reference" `Quick
+      test_size_search_matches_reference;
+    Alcotest.test_case "too-large payloads match reference" `Quick
+      test_too_large_payloads;
     Alcotest.test_case "bitstream" `Quick test_bitstream;
     Alcotest.test_case "area model" `Quick test_area_model;
     Alcotest.test_case "routing report" `Quick test_routing_report;

@@ -69,6 +69,26 @@ let test_should_stop_skips_undispatched () =
       Alcotest.(check int) "order/length preserved" 10 (List.length out))
     [ 1; 4 ]
 
+let test_caller_is_a_worker () =
+  (* jobs=2: one spawned domain plus the caller, which drains tasks
+     instead of idling in join *)
+  let caller = (Domain.self () :> int) in
+  let out =
+    P.Pool.map_ordered (P.Pool.create ~jobs:2)
+      (fun _ -> Unix.sleepf 0.001; (Domain.self () :> int))
+      (List.init 50 Fun.id)
+  in
+  let domains =
+    List.sort_uniq compare
+      (List.map
+         (function
+           | P.Pool.Value d -> d
+           | P.Pool.Raised _ | P.Pool.Skipped -> Alcotest.fail "task lost")
+         out)
+  in
+  Alcotest.(check bool) "at most 2 domains" true (List.length domains <= 2);
+  Alcotest.(check bool) "the caller ran tasks" true (List.mem caller domains)
+
 (* ---------- memo table under contention ---------- *)
 
 let test_memo_contention () =
@@ -178,6 +198,8 @@ let tests =
       test_exception_capture;
     Alcotest.test_case "should_stop skips undispatched tasks" `Quick
       test_should_stop_skips_undispatched;
+    Alcotest.test_case "caller domain is one of the workers" `Quick
+      test_caller_is_a_worker;
     Alcotest.test_case "memo table under domain contention" `Quick
       test_memo_contention;
     Alcotest.test_case "flow: jobs=1 vs jobs=4 equivalence" `Slow
