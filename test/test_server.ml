@@ -828,6 +828,99 @@ let test_server_attack_verdicts_minor3 () =
       Alcotest.(check bool) "no attack object pre-minor-2" true
         (J.find v0 "attack" = None))
 
+(* ---------- golden response frames ---------- *)
+
+(* Every frame the server answers for each flow op, at every announced
+   minor (absent, each minor up to the server's, and one above it),
+   buffered and streaming, recorded byte for byte in
+   [server_frames.golden]. Only the wall-clock [times] object is cut.
+   On a mismatch the frames this build produced are written next to the
+   test binary as [server_frames.actual] for diffing; copying that file
+   over the golden is how an intended wire change is accepted. *)
+
+let golden_file = "server_frames.golden"
+
+(* [times] holds no nested object, so its closing brace is the first one *)
+let drop_times (frame : string) : string =
+  let key = {|,"times":{|} in
+  let n = String.length frame and k = String.length key in
+  let rec find i =
+    if i + k > n then None
+    else if String.sub frame i k = key then Some i
+    else find (i + 1)
+  in
+  match find 0 with
+  | None -> frame
+  | Some i ->
+    let close = String.index_from frame (i + k) '}' in
+    String.sub frame 0 i ^ String.sub frame (close + 1) (n - close - 1)
+
+let golden_requests =
+  let measured =
+    J.Obj
+      [ ("score", J.String "measured"); ("attack_budget", J.Int 2_000);
+        ("attack_iterations", J.Int 16); ("attack_jobs", J.Int 1) ]
+  in
+  [ ("redact", [ ("op", J.String "redact"); ("source", J.String demo_src) ]);
+    ( "redact-measured",
+      [ ("op", J.String "redact"); ("source", J.String demo_src);
+        ("config", measured) ] );
+    ( "characterize",
+      [ ("op", J.String "characterize"); ("source", J.String demo_src) ] );
+    ( "sweep",
+      [ ("op", J.String "sweep"); ("source", J.String demo_src);
+        ("sweep", J.List sweep_entries) ] );
+    ( "advise",
+      [ ("op", J.String "advise"); ("source", J.String demo_src);
+        ("constraints", advise_constraints) ] ) ]
+
+let golden_transcript socket : string =
+  let conn = S.Client.connect ~socket () in
+  Fun.protect ~finally:(fun () -> S.Client.close conn) @@ fun () ->
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (label, fields) ->
+      List.iter
+        (fun mv ->
+          List.iter
+            (fun stream ->
+              let mv_field, mv_label =
+                match mv with
+                | None -> ([], "absent")
+                | Some m -> ([ ("mv", J.Int m) ], string_of_int m)
+              in
+              let id = Printf.sprintf "%s/mv=%s/stream=%b" label mv_label stream in
+              let line =
+                J.to_string
+                  (J.Obj
+                     ([ ("v", J.Int 1); ("id", J.String id) ]
+                     @ mv_field @ fields
+                     @ [ ("stream", J.Bool stream) ]))
+              in
+              Printf.bprintf buf "# %s\n" id;
+              let frame f = Printf.bprintf buf "%s\n" (drop_times f) in
+              frame (S.Client.rpc_stream conn ~on_event:frame line))
+            [ false; true ])
+        [ None; Some 1; Some 2; Some 3; Some 4; Some 9 ])
+    golden_requests;
+  Buffer.contents buf
+
+let test_server_golden_frames () =
+  with_server (fun socket _t ->
+      let actual = golden_transcript socket in
+      let dir = Filename.dirname Sys.executable_name in
+      let expected =
+        In_channel.with_open_bin (Filename.concat dir golden_file)
+          In_channel.input_all
+      in
+      if actual <> expected then begin
+        let out = Filename.concat dir "server_frames.actual" in
+        Out_channel.with_open_bin out (fun oc ->
+            Out_channel.output_string oc actual);
+        Alcotest.failf "response frames differ from %s; this build's are in %s"
+          golden_file out
+      end)
+
 let test_server_shutdown_drain () =
   let socket_path = tmp_socket () in
   let cfg =
@@ -877,4 +970,6 @@ let tests =
       test_server_advise_negotiation;
     Alcotest.test_case "attack verdicts gated on minor 3" `Quick
       test_server_attack_verdicts_minor3;
+    Alcotest.test_case "golden response frames" `Quick
+      test_server_golden_frames;
     Alcotest.test_case "shutdown drain" `Quick test_server_shutdown_drain ]
