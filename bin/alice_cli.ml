@@ -906,9 +906,9 @@ let client_cmd =
   let stream =
     Arg.(value & flag
          & info [ "stream" ]
-             ~doc:"Ask for a streaming response (sweep requests): adds \
-                   $(b,stream:true) and the protocol minor version to the \
-                   request, and prints every $(b,event:\"row\") frame to \
+             ~doc:"Ask for a streaming response (sweep and advise \
+                   requests): adds $(b,stream:true) and the protocol minor \
+                   version to the request, and prints every $(b,event:\"row\") frame to \
                    stdout the moment it arrives; $(b,--extract) and exit \
                    status apply to the terminal frame. Against an older \
                    server the response simply comes back buffered.")

@@ -241,7 +241,7 @@ if ! cmp -s "$tmpdir/advise_cold.json" "$tmpdir/advise_warm.json"; then
 fi
 
 # --- redaction service: 8 concurrent clients, warm stats, streaming ---
-# --- sweep, clean drain — once per transport (unix + tcp) -------------
+# --- sweep and advise, clean drain — once per transport (unix + tcp) --
 
 "$ALICE" bench SOC --dump-source > "$tmpdir/soc.v"
 cat > "$tmpdir/soc.yaml" <<'EOF'
@@ -262,6 +262,9 @@ EOF
 # by the server process, which runs from this directory)
 printf '{"v":1,"op":"sweep","file":"%s","sweep":[{"name":"one","max_efpgas":1},{"name":"two","max_efpgas":2}]}\n' \
   "$tmpdir/soc.v" > "$tmpdir/sweep_req.json"
+# and a two-candidate advise grid for the streaming advise check
+printf '{"v":1,"op":"advise","file":"%s","constraints":{"axes":{"lut_inputs":[4],"max_fabric_size":[12,20]}}}\n' \
+  "$tmpdir/soc.v" > "$tmpdir/advise_req.json"
 
 server_smoke() {
   # $1: label; $2: --listen endpoint. tcp:127.0.0.1:0 binds an
@@ -351,6 +354,22 @@ server_smoke() {
   if ! grep -q '"event":"done"' "$tmpdir/sweep_$label.json"; then
     echo "check.sh: $label streaming sweep sent no terminal frame" >&2
     cat "$tmpdir/sweep_$label.json" >&2
+    exit 1
+  fi
+
+  # streaming advise: one row frame per candidate, then a done frame
+  # carrying the ranked Pareto front
+  "$ALICE" client --connect "$ep" --stream "$tmpdir/advise_req.json" \
+    > "$tmpdir/advise_$label.json"
+  rows=$(grep -c '"event":"row"' "$tmpdir/advise_$label.json" || true)
+  if [ "$rows" -ne 2 ]; then
+    echo "check.sh: $label streaming advise sent $rows row frames, want 2:" >&2
+    cat "$tmpdir/advise_$label.json" >&2
+    exit 1
+  fi
+  if ! grep '"event":"done"' "$tmpdir/advise_$label.json" | grep -q '"front":'; then
+    echo "check.sh: $label streaming advise sent no done frame with a front" >&2
+    cat "$tmpdir/advise_$label.json" >&2
     exit 1
   fi
 

@@ -118,6 +118,11 @@ val run :
     byte-identically. *)
 val json_of_entry : entry -> J.t
 
+(** A point's [metrics] object ([area_um2]/[timing_ns]/[security]/
+    [security_mode]); [null] for an infeasible point. Shared by
+    {!json_of_entry} and the service's sweep and advise rows. *)
+val json_of_metrics : Engine.point_metrics option -> J.t
+
 val json_of_report : report -> J.t
 
 (** Table lines for {!Report.pp_advise_row}: the ranked front first,

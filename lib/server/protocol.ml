@@ -10,13 +10,6 @@ module D = Alice_diag.Diag
 
 let version = 1
 
-(* minor 1: streaming sweeps; minor 2: measured-selection attack fields
-   on redact/sweep responses and the stats "attacks" object; minor 3:
-   solver-reuse counter and per-candidate attack verdicts on redact
-   responses; minor 4: the advise op (streaming rows reuse the minor-1
-   row/done framing) and the "metrics" object on sweep/advise rows *)
-let minor = 4
-
 type source = Inline of string | Path of string
 
 type op =
@@ -41,37 +34,9 @@ let bad_request ~kind ~code fmt =
       raise (Bad_request { kind; diag = D.error ~code "%s" m }))
     fmt
 
-let op_name = function
-  | Ping -> "ping"
-  | Stats -> "stats"
-  | Shutdown -> "shutdown"
-  | Redact _ -> "redact"
-  | Characterize _ -> "characterize"
-  | Sweep _ -> "sweep"
-  | Advise _ -> "advise"
-  | CacheGc _ -> "cache-gc"
-
 type lane = Cheap | Heavy
 
-let lane_of_op_name = function
-  | "redact" | "characterize" | "sweep" | "advise" -> Heavy
-  | _ -> Cheap
-
-let lane_of_op op = lane_of_op_name (op_name op)
-
-(* Deliberately lenient — this runs on the acceptor against bytes it
-   has only peeked at: anything that is not recognizably a heavy
-   operation (including garbage, which a worker answers with a fast
-   structured error) goes to the cheap lane. *)
-let lane_of_line (line : string) : lane =
-  match J.parse line with
-  | exception _ -> Cheap
-  | j -> (
-    match J.find j "op" with
-    | Some (J.String name) -> lane_of_op_name name
-    | _ -> Cheap)
-
-(* ---------- request parsing ---------- *)
+(* ---------- request fields ---------- *)
 
 let parse_source (j : J.t) : source =
   match (J.find j "source", J.find j "file") with
@@ -85,21 +50,14 @@ let parse_source (j : J.t) : source =
       "request needs a `source` (inline Verilog text) or `file` (server-side \
        path) field"
 
-let parse_config (j : J.t) : Y.t =
-  match J.find j "config" with
+(* an optional object field, as YAML; [what] ends "`key` must be ..." *)
+let parse_object ?(what = "an object of flow-configuration keys") (j : J.t)
+    (key : string) : Y.t =
+  match J.find j key with
   | None | Some J.Null -> Y.Null
-  | Some (J.Obj _ as cfg) -> J.to_yaml cfg
+  | Some (J.Obj _ as o) -> J.to_yaml o
   | Some _ ->
-    bad_request ~kind:"unknown_op" ~code:"E1002"
-      "`config` must be an object of flow-configuration keys"
-
-let parse_base (j : J.t) : Y.t =
-  match J.find j "base" with
-  | None | Some J.Null -> Y.Null
-  | Some (J.Obj _ as b) -> J.to_yaml b
-  | Some _ ->
-    bad_request ~kind:"unknown_op" ~code:"E1002"
-      "`base` must be an object of flow-configuration keys"
+    bad_request ~kind:"unknown_op" ~code:"E1002" "`%s` must be %s" key what
 
 let parse_stream (j : J.t) : bool =
   match J.find j "stream" with
@@ -117,6 +75,130 @@ let parse_view (j : J.t) : Alice.Redact.view =
   | Some _ ->
     bad_request ~kind:"unknown_op" ~code:"E1002"
       "`view` must be \"programmed\", \"opaque\" or \"structural\""
+
+let parse_redact (j : J.t) : op =
+  Redact
+    { source = parse_source j; config = parse_object j "config";
+      view = parse_view j }
+
+let parse_characterize (j : J.t) : op =
+  Characterize { source = parse_source j; config = parse_object j "config" }
+
+let parse_sweep (j : J.t) : op =
+  let base = parse_object j "base" in
+  let entries =
+    match J.find j "sweep" with
+    | Some (J.List (_ :: _ as items)) ->
+      List.map
+        (function
+          | J.Obj _ as e -> J.to_yaml e
+          | _ ->
+            bad_request ~kind:"unknown_op" ~code:"E1002"
+              "`sweep` entries must be objects")
+        items
+    | _ ->
+      bad_request ~kind:"unknown_op" ~code:"E1002"
+        "sweep request needs a non-empty `sweep` list of configuration \
+         overlays"
+  in
+  Sweep { source = parse_source j; base; entries; stream = parse_stream j }
+
+let parse_advise (j : J.t) : op =
+  let constraints =
+    parse_object j "constraints"
+      ~what:"an object (optionally carrying an `axes` map of grid axes)"
+  in
+  Advise
+    { source = parse_source j; base = parse_object j "base"; constraints;
+      stream = parse_stream j }
+
+let parse_cache_gc (j : J.t) : op =
+  CacheGc
+    { max_bytes =
+        (match J.find j "max_bytes" with
+        | None | Some J.Null -> None
+        | Some (J.Int n) when n >= 0 -> Some n
+        | Some _ ->
+          bad_request ~kind:"unknown_op" ~code:"E1002"
+            "`max_bytes` must be a non-negative integer") }
+
+(* ---------- the op table ---------- *)
+
+(* Every per-op wire decision: the name, the admission lane, the minor
+   its streaming form arrived in (none: it never streams), and how its
+   request fields parse. *)
+type spec = {
+  name : string;
+  lane : lane;
+  stream_minor : int option;
+  parse : J.t -> op;
+}
+
+let spec ?stream_minor name lane parse = { name; lane; stream_minor; parse }
+
+let ping = spec "ping" Cheap (fun _ -> Ping)
+let stats = spec "stats" Cheap (fun _ -> Stats)
+let shutdown = spec "shutdown" Cheap (fun _ -> Shutdown)
+let redact = spec "redact" Heavy parse_redact
+let characterize = spec "characterize" Heavy parse_characterize
+let sweep = spec "sweep" Heavy ~stream_minor:1 parse_sweep
+let advise = spec "advise" Heavy ~stream_minor:4 parse_advise
+let cache_gc = spec "cache-gc" Cheap parse_cache_gc
+
+let specs =
+  [ ping; stats; shutdown; redact; characterize; sweep; advise; cache_gc ]
+
+let spec_of_op = function
+  | Ping -> ping
+  | Stats -> stats
+  | Shutdown -> shutdown
+  | Redact _ -> redact
+  | Characterize _ -> characterize
+  | Sweep _ -> sweep
+  | Advise _ -> advise
+  | CacheGc _ -> cache_gc
+
+let spec_of_name name = List.find_opt (fun s -> String.equal s.name name) specs
+
+let op_name op = (spec_of_op op).name
+
+(* the response fields added after minor 0, each by the minor it
+   arrived in *)
+type gate = Attack_counts | Attack_reuse | Row_metrics
+
+let gate_minor = function
+  | Attack_counts -> 2
+  | Attack_reuse -> 3
+  | Row_metrics -> 4
+
+(* the server's minor: the newest entry of the two tables *)
+let minor =
+  List.fold_left max 0
+    (List.map gate_minor [ Attack_counts; Attack_reuse; Row_metrics ]
+    @ List.filter_map (fun s -> s.stream_minor) specs)
+
+let carries (req : request) (g : gate) = req.minor >= gate_minor g
+
+let streams (req : request) =
+  match (req.op, (spec_of_op req.op).stream_minor) with
+  | (Sweep { stream; _ } | Advise { stream; _ }), Some m ->
+    stream && req.minor >= m
+  | _ -> false
+
+(* Deliberately lenient — this runs on the acceptor against bytes it
+   has only peeked at: anything that is not recognizably a heavy
+   operation (including garbage, which a worker answers with a fast
+   structured error) goes to the cheap lane. *)
+let lane_of_line (line : string) : lane =
+  match J.parse line with
+  | exception _ -> Cheap
+  | j -> (
+    match J.find j "op" with
+    | Some (J.String name) -> (
+      match spec_of_name name with Some s -> s.lane | None -> Cheap)
+    | _ -> Cheap)
+
+(* ---------- request parsing ---------- *)
 
 let parse_request (line : string) : request =
   let j =
@@ -151,60 +233,13 @@ let parse_request (line : string) : request =
   let id = Option.value (J.find j "id") ~default:J.Null in
   let op =
     match J.find j "op" with
-    | Some (J.String "ping") -> Ping
-    | Some (J.String "stats") -> Stats
-    | Some (J.String "shutdown") -> Shutdown
-    | Some (J.String "redact") ->
-      Redact
-        { source = parse_source j; config = parse_config j;
-          view = parse_view j }
-    | Some (J.String "characterize") ->
-      Characterize { source = parse_source j; config = parse_config j }
-    | Some (J.String "sweep") ->
-      let base = parse_base j in
-      let entries =
-        match J.find j "sweep" with
-        | Some (J.List (_ :: _ as items)) ->
-          List.map
-            (function
-              | J.Obj _ as e -> J.to_yaml e
-              | _ ->
-                bad_request ~kind:"unknown_op" ~code:"E1002"
-                  "`sweep` entries must be objects")
-            items
-        | _ ->
-          bad_request ~kind:"unknown_op" ~code:"E1002"
-            "sweep request needs a non-empty `sweep` list of configuration \
-             overlays"
-      in
-      Sweep { source = parse_source j; base; entries; stream = parse_stream j }
-    | Some (J.String "advise") ->
-      let constraints =
-        match J.find j "constraints" with
-        | None | Some J.Null -> Y.Null
-        | Some (J.Obj _ as c) -> J.to_yaml c
-        | Some _ ->
-          bad_request ~kind:"unknown_op" ~code:"E1002"
-            "`constraints` must be an object (optionally carrying an `axes` \
-             map of grid axes)"
-      in
-      Advise
-        { source = parse_source j; base = parse_base j; constraints;
-          stream = parse_stream j }
-    | Some (J.String "cache-gc") ->
-      CacheGc
-        { max_bytes =
-            (match J.find j "max_bytes" with
-            | None | Some J.Null -> None
-            | Some (J.Int n) when n >= 0 -> Some n
-            | Some _ ->
-              bad_request ~kind:"unknown_op" ~code:"E1002"
-                "`max_bytes` must be a non-negative integer") }
-    | Some (J.String op) ->
-      bad_request ~kind:"unknown_op" ~code:"E1002"
-        "unknown operation %S (have: ping, stats, shutdown, redact, \
-         characterize, sweep, advise, cache-gc)"
-        op
+    | Some (J.String name) -> (
+      match spec_of_name name with
+      | Some s -> s.parse j
+      | None ->
+        bad_request ~kind:"unknown_op" ~code:"E1002"
+          "unknown operation %S (have: %s)" name
+          (String.concat ", " (List.map (fun s -> s.name) specs)))
     | _ ->
       bad_request ~kind:"unknown_op" ~code:"E1002"
         "request carries no string `op` field"
@@ -275,60 +310,43 @@ let error_response ~(id : J.t) ~(kind : string) ?(op : string option)
 
 (* ---------- request building (client side) ---------- *)
 
-let simple_request ?(id = J.Null) (op : string) : string =
-  J.to_string (J.Obj (base_fields ~id @ [ ("op", J.String op) ]))
+let request ?(id = J.Null) (s : spec) (fields : (string * J.t) list) : string =
+  J.to_string (J.Obj (base_fields ~id @ (("op", J.String s.name) :: fields)))
 
-let ping_request ?id () = simple_request ?id "ping"
+(* optional request fields: left out when null or false *)
+let opt key = function J.Null -> [] | v -> [ (key, v) ]
 
-let stats_request ?id () = simple_request ?id "stats"
+let flag key b = if b then [ (key, J.Bool true) ] else []
 
-let shutdown_request ?id () = simple_request ?id "shutdown"
+let ping_request ?id () = request ?id ping []
 
-let cache_gc_request ?(id = J.Null) ?max_bytes () =
-  let mb =
-    match max_bytes with None -> [] | Some n -> [ ("max_bytes", J.Int n) ]
-  in
-  J.to_string
-    (J.Obj (base_fields ~id @ [ ("op", J.String "cache-gc") ] @ mb))
+let stats_request ?id () = request ?id stats []
+
+let shutdown_request ?id () = request ?id shutdown []
+
+let cache_gc_request ?id ?max_bytes () =
+  request ?id cache_gc
+    (match max_bytes with None -> [] | Some n -> [ ("max_bytes", J.Int n) ])
 
 let source_field (source : source) =
   match source with
   | Inline text -> ("source", J.String text)
   | Path p -> ("file", J.String p)
 
-let redact_request ?(id = J.Null) ?(config = J.Null) ?(view : string option)
+let redact_request ?id ?(config = J.Null) ?(view : string option)
     (source : source) : string =
-  let config =
-    match config with J.Null -> [] | c -> [ ("config", c) ]
-  in
-  let view = match view with None -> [] | Some v -> [ ("view", J.String v) ] in
-  J.to_string
-    (J.Obj
-       (base_fields ~id
-       @ [ ("op", J.String "redact"); source_field source ]
-       @ config @ view))
+  request ?id redact
+    ((source_field source :: opt "config" config)
+    @ match view with None -> [] | Some v -> [ ("view", J.String v) ])
 
-let sweep_request ?(id = J.Null) ?(base = J.Null) ?(stream = false)
+let sweep_request ?id ?(base = J.Null) ?(stream = false)
     ~(entries : J.t list) (source : source) : string =
-  let base = match base with J.Null -> [] | b -> [ ("base", b) ] in
-  let stream = if stream then [ ("stream", J.Bool true) ] else [] in
-  J.to_string
-    (J.Obj
-       (base_fields ~id
-       @ [ ("op", J.String "sweep"); source_field source ]
-       @ base
-       @ [ ("sweep", J.List entries) ]
-       @ stream))
+  request ?id sweep
+    ((source_field source :: opt "base" base)
+    @ (("sweep", J.List entries) :: flag "stream" stream))
 
-let advise_request ?(id = J.Null) ?(base = J.Null) ?(constraints = J.Null)
+let advise_request ?id ?(base = J.Null) ?(constraints = J.Null)
     ?(stream = false) (source : source) : string =
-  let base = match base with J.Null -> [] | b -> [ ("base", b) ] in
-  let constraints =
-    match constraints with J.Null -> [] | c -> [ ("constraints", c) ]
-  in
-  let stream = if stream then [ ("stream", J.Bool true) ] else [] in
-  J.to_string
-    (J.Obj
-       (base_fields ~id
-       @ [ ("op", J.String "advise"); source_field source ]
-       @ base @ constraints @ stream))
+  request ?id advise
+    ((source_field source :: opt "base" base)
+    @ opt "constraints" constraints @ flag "stream" stream)

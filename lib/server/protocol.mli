@@ -37,32 +37,24 @@ module D = Alice_diag.Diag
 val version : int
 
 (** Additive feature level within {!version}, carried as [mv] in
-    requests and responses. Absent means 0. Minor 1 adds streaming
-    sweep responses: a sweep request with [{"mv":1,...,"stream":true}]
-    is answered with one [{"ok":true,"op":"sweep","event":"row",...}]
-    line per completed point followed by a terminal
-    [{"event":"done",...}] summary frame; clients announcing a lower
-    (or no) minor always get the buffered single-line form, whatever
-    they asked for. Minor 2 adds measured-selection attack accounting:
-    an [{"attack":{"run":..,"cached":..,"inconclusive":..}}] object on
-    [redact] responses, [attacks_run]/[attacks_cached]/
-    [attacks_inconclusive] fields on sweep rows, and a top-level
-    [attacks] object in [stats] (the [stats] object is reported to
-    every client — only the redact/sweep fields are gated on the
-    announced minor). Minor 3 adds the incremental solver's
-    learnt-clause reuse to the redact [attack] object ([reused]) plus a
-    per-candidate [verdicts] array
-    ([{"cluster":..,"fabric":..,"status":..,"dips":..,"conflicts":..,
-    "reused":..}] per valid fabric implementation). Minor 4 adds the
-    [advise] operation — a pre-architecture recommendation sweep whose
-    streaming form reuses the minor-1 row/done framing (one
-    [{"event":"row",...}] per candidate as it completes, then a
-    [{"event":"done","front":[...],...}] frame with the ranked Pareto
-    front; clients announcing [mv < 4] get the buffered single-line
-    form even when they ask to stream) — and a [metrics] object
-    ([area_um2]/[timing_ns]/[security]/[security_mode]) on sweep and
-    advise rows. A request [mv] above the server's is capped, not
-    rejected — minors only ever add behaviour. *)
+    requests and responses: the highest minor in the table below.
+    Absent means 0; a request [mv] above the server's is capped, not
+    rejected — minors only ever add behaviour. Each minor is decided in
+    one place, the op table and {!gate}:
+
+    {v
+    minor  adds
+      1    streaming sweep: one "row" frame per point, then a "done" frame
+      2    attack counts: redact "attack" {run,cached,inconclusive};
+           sweep/advise row attacks_run/attacks_cached/attacks_inconclusive
+      3    attack reuse: redact "attack" reused + per-candidate verdicts
+      4    streaming advise (same row/done framing; "done" carries the
+           ranked Pareto front) and the row "metrics" object
+    v}
+
+    A client announcing less than an op's streaming minor gets the
+    buffered single-line form whatever it asked for. The [stats] object
+    (with its [attacks] counters) goes to every client. *)
 val minor : int
 
 (** Where a request's Verilog comes from: inline text in the request
@@ -80,16 +72,14 @@ type op =
       (** [entries] are configuration overlays, each deep-merged over
           [base] (itself merged over the server's base configuration);
           an entry's [name] key labels its result row. [stream] asks
-          for incremental row events — honoured only when the request
-          also announces [mv >= 1] (see {!minor}) *)
+          for incremental row events (see {!streams}) *)
   | Advise of
       { source : source; base : Y.t; constraints : Y.t; stream : bool }
       (** pre-architecture advisor ([Alice.Advisor]): [base] is a
           flow-configuration overlay over the server's base
           configuration, [constraints] an optional constraint document
           whose [axes] map pins the grid axes, [stream] asks for
-          per-candidate row events — honoured only when the request
-          also announces [mv >= 4] (see {!minor}) *)
+          per-candidate row events (see {!streams}) *)
   | CacheGc of { max_bytes : int option }
       (** validate/quarantine/evict the server's persistent cache and
           re-enable writes; [max_bytes] overrides the configured byte
@@ -108,6 +98,7 @@ type request = {
     payload ("bad_request", "unsupported_version", "unknown_op"). *)
 exception Bad_request of { kind : string; diag : D.t }
 
+(** The op's wire name, from the op table. *)
 val op_name : op -> string
 
 (** The two admission lanes of the server's priority queue. [Cheap]
@@ -117,13 +108,23 @@ val op_name : op -> string
     ([redact], [characterize], [sweep], [advise]) run the flow. *)
 type lane = Cheap | Heavy
 
-val lane_of_op : op -> lane
-
 (** Classify a raw request line the way the server's acceptor does on
     peeked bytes: [Heavy] only when the line is valid JSON whose [op]
     names a heavy operation; everything else — cheap operations,
     garbage, incomplete framing — is [Cheap]. Never raises. *)
 val lane_of_line : string -> lane
+
+(** The response fields added after minor 0 (see {!minor}):
+    [Attack_counts] (2), [Attack_reuse] (3), [Row_metrics] (4). *)
+type gate = Attack_counts | Attack_reuse | Row_metrics
+
+(** Whether the response to this request carries the gated fields:
+    the request announced at least the minor they arrived in. *)
+val carries : request -> gate -> bool
+
+(** Whether this request is answered with row frames: it asked to
+    [stream] and announced at least its op's streaming minor. *)
+val streams : request -> bool
 
 (** Parse one request line. Raises {!Bad_request}. *)
 val parse_request : string -> request
@@ -141,8 +142,8 @@ val ok_response : id:J.t -> op:string -> (string * J.t) list -> string
 (** [event_response ~id ~op ~event fields] is one intermediate frame
     of a streaming response: an [ok:true] line carrying an [event]
     discriminator ("row" for incremental results, "done" for the
-    terminal summary). Non-terminal frames are only ever sent to
-    clients that announced [mv >= 1]. *)
+    terminal summary). Frames are only ever sent to requests that
+    {!streams} accepts. *)
 val event_response :
   id:J.t -> op:string -> event:string -> (string * J.t) list -> string
 

@@ -65,9 +65,9 @@ let endpoints t = List.map snd t.listeners
 
 (* a streamed row write failed (client hung up, or an injected
    ["sock.stream"] fault): the connection is dead mid-response, so this
-   must escape request execution — the error-response wrappers re-raise
-   it — and be absorbed as a dropped link, never turned into an error
-   line nobody can receive *)
+   must escape request execution — the error wrapper re-raises it, after
+   which the request is counted failed — and be absorbed as a dropped
+   link, never turned into an error line nobody can receive *)
 exception Stream_failed of exn
 
 (* reserved per-op metrics key for requests that never parsed far
@@ -136,14 +136,13 @@ let times_field (times : A.Flow.phase_times) : string * J.t =
         ("clustering_s", J.Float times.A.Flow.clustering_s);
         ("selection_s", J.Float times.A.Flow.selection_s) ] )
 
-(* additive minor-2 field: measured-selection attack accounting; minor 3
-   adds the solver-reuse counter and per-candidate verdicts *)
-let attack_field ~(minor : int) (flow : A.Flow.t) : (string * J.t) list =
-  if minor < 2 then []
+(* the measured-selection attack accounting, gated field by field *)
+let attack_field (req : P.request) (flow : A.Flow.t) : (string * J.t) list =
+  if not (P.carries req P.Attack_counts) then []
   else
     let a = flow.A.Flow.selection.A.Selection.attack in
-    let minor3 =
-      if minor < 3 then []
+    let reuse =
+      if not (P.carries req P.Attack_reuse) then []
       else
         [ ("reused", J.Int a.A.Engine.Scorer.attacks_reused);
           ( "verdicts",
@@ -164,19 +163,24 @@ let attack_field ~(minor : int) (flow : A.Flow.t) : (string * J.t) list =
           ([ ("run", J.Int a.A.Engine.Scorer.attacks_run);
              ("cached", J.Int a.A.Engine.Scorer.attacks_cached);
              ("inconclusive", J.Int a.A.Engine.Scorer.attacks_inconclusive) ]
-          @ minor3) ) ]
+          @ reuse) ) ]
 
-let execute_redact t ~(id : J.t) ~(minor : int) (source : P.source)
-    (req_cfg : Y.t) (view : A.Redact.view) : string * bool =
+(* an op's answer that is a structured failure rather than a crash: the
+   one error wrapper in [execute] renders it *)
+exception Refused of { kind : string; diags : D.t list; diag : D.t }
+
+let execute_redact t (req : P.request) (source : P.source) (req_cfg : Y.t)
+    (view : A.Redact.view) : (string * J.t) list =
   let cfg = effective_config t req_cfg in
   let flow = run_flow t cfg source in
   match A.Flow.redact ~view flow with
   | None ->
-    ( P.error_response ~id ~kind:"infeasible" ~op:"redact"
-        ~diags:flow.A.Flow.diags
-        (D.error ~code:"E0801"
-           "no feasible redaction under this configuration"),
-      false )
+    raise
+      (Refused
+         { kind = "infeasible"; diags = flow.A.Flow.diags;
+           diag =
+             D.error ~code:"E0801"
+               "no feasible redaction under this configuration" })
   | Some r ->
     let sites =
       List.map
@@ -189,21 +193,19 @@ let execute_redact t ~(id : J.t) ~(minor : int) (source : P.source)
               ("gpio_out", J.Int s.A.Redact.gpio_out_width) ])
         r.A.Redact.sites
     in
-    ( P.ok_response ~id ~op:"redact"
-        ([ ("verilog", J.String r.A.Redact.verilog);
-           ("sites", J.List sites);
-           ( "fabrics",
-             match A.Engine.solution_fabrics flow with
-             | Some s -> J.String s
-             | None -> J.Null );
-           char_stats_field flow.A.Flow.char_stats;
-           times_field flow.A.Flow.times ]
-        @ attack_field ~minor flow
-        @ diags_field flow.A.Flow.diags),
-      true )
+    [ ("verilog", J.String r.A.Redact.verilog);
+      ("sites", J.List sites);
+      ( "fabrics",
+        match A.Engine.solution_fabrics flow with
+        | Some s -> J.String s
+        | None -> J.Null );
+      char_stats_field flow.A.Flow.char_stats;
+      times_field flow.A.Flow.times ]
+    @ attack_field req flow
+    @ diags_field flow.A.Flow.diags
 
-let execute_characterize t ~(id : J.t) (source : P.source) (req_cfg : Y.t) :
-    string * bool =
+let execute_characterize t (source : P.source) (req_cfg : Y.t) :
+    (string * J.t) list =
   let cfg = effective_config t req_cfg in
   let flow = run_flow t cfg source in
   let clusters =
@@ -231,14 +233,12 @@ let execute_characterize t ~(id : J.t) (source : P.source) (req_cfg : Y.t) :
             ("fabric", fabric) ])
       flow.A.Flow.characterized
   in
-  ( P.ok_response ~id ~op:"characterize"
-      ([ ("clusters", J.List clusters);
-         char_stats_field flow.A.Flow.char_stats;
-         times_field flow.A.Flow.times ]
-      @ diags_field flow.A.Flow.diags),
-    true )
+  [ ("clusters", J.List clusters);
+    char_stats_field flow.A.Flow.char_stats;
+    times_field flow.A.Flow.times ]
+  @ diags_field flow.A.Flow.diags
 
-let sweep_row_fields ~(minor : int) (sp : A.Engine.sweep_point) :
+let row_fields (req : P.request) (sp : A.Engine.sweep_point) :
     (string * J.t) list =
   [ ("name", J.String sp.A.Engine.sp_name);
     ("feasible", J.Bool sp.A.Engine.sp_feasible);
@@ -249,26 +249,14 @@ let sweep_row_fields ~(minor : int) (sp : A.Engine.sweep_point) :
     ("hits", J.Int sp.A.Engine.sp_hits);
     ("computed", J.Int sp.A.Engine.sp_computed);
     ("skipped", J.Int sp.A.Engine.sp_skipped) ]
-  @ (if minor < 2 then []
+  @ (if not (P.carries req P.Attack_counts) then []
      else
        [ ("attacks_run", J.Int sp.A.Engine.sp_attacks_run);
          ("attacks_cached", J.Int sp.A.Engine.sp_attacks_cached);
          ("attacks_inconclusive", J.Int sp.A.Engine.sp_attacks_inconclusive)
        ])
-  @ (if minor < 4 then []
-     else
-       [ ( "metrics",
-           match sp.A.Engine.sp_metrics with
-           | None -> J.Null
-           | Some m ->
-             J.Obj
-               [ ("area_um2", J.Float m.A.Engine.pm_area_um2);
-                 ("timing_ns", J.Float m.A.Engine.pm_timing_ns);
-                 ("security", J.Float m.A.Engine.pm_security);
-                 ( "security_mode",
-                   J.String
-                     (C.Flow_config.score_mode_to_string
-                        m.A.Engine.pm_security_mode) ) ] ) ])
+  @ (if not (P.carries req P.Row_metrics) then []
+     else [ ("metrics", A.Advisor.json_of_metrics sp.A.Engine.sp_metrics) ])
   @ [ ("resumed", J.Bool sp.A.Engine.sp_resumed) ]
 
 (* a checkpointed point did no cache (or attack) work in this process *)
@@ -281,113 +269,88 @@ let record_point t (sp : A.Engine.sweep_point) =
       ~inconclusive:sp.A.Engine.sp_attacks_inconclusive
   end
 
-let execute_sweep t ~(id : J.t) ~(minor : int)
-    ~(emit : (string -> unit) option) (source : P.source) (base : Y.t)
-    (entries : Y.t list) (stream : bool) : string * bool =
+(* The one row path of sweep and advise. [run ~on_point] runs the op's
+   points, calling [on_point] on each as it completes, and returns them
+   in response order with the op's summary fields for the terminal
+   [done] frame and for the buffered response. A request that
+   negotiated streaming ({!P.streams}) gets a row frame per point —
+   sent after the point's checkpoint write (Engine.run_sweep's
+   contract), so a client that hangs up wastes at most the point in
+   flight — and then the done frame; any other request gets the
+   buffered single line. *)
+let execute_rows t (req : P.request) ~(emit : string -> unit) ~run :
+    (string * J.t) list =
+  if P.streams req then begin
+    let on_point sp =
+      record_point t sp;
+      emit
+        (P.event_response ~id:req.P.id ~op:(P.op_name req.P.op) ~event:"row"
+           (row_fields req sp @ diags_field (A.Engine.point_diags sp)))
+    in
+    let points, done_fields, _ = run ~on_point in
+    let resumed = List.filter (fun sp -> sp.A.Engine.sp_resumed) points in
+    (("event", J.String "done") :: done_fields)
+    @ [ ("resumed", J.Int (List.length resumed)) ]
+  end
+  else
+    let points, _, buffered_fields = run ~on_point:(record_point t) in
+    [ ("rows", J.List (List.map (fun sp -> J.Obj (row_fields req sp)) points)) ]
+    @ buffered_fields
+    @ diags_field (List.concat_map A.Engine.point_diags points)
+
+let execute_sweep t (req : P.request) ~emit (source : P.source) (base : Y.t)
+    (entries : Y.t list) : (string * J.t) list =
   let points =
     A.Engine.sweep_points ~config:(effective_config t) ~base entries
       (flow_source source)
   in
-  match emit with
-  | Some emit when stream && minor >= 1 ->
-    (* negotiated streaming: one row frame per completed point, then a
-       terminal summary. Rows go out after their checkpoint is written
-       (Engine.run_sweep's contract), so a client that hangs up
-       mid-sweep wastes at most the point in flight. *)
-    let sent = ref 0 and feasible = ref 0 and resumed = ref 0 in
-    let on_point (sp : A.Engine.sweep_point) =
-      record_point t sp;
-      emit
-        (P.event_response ~id ~op:"sweep" ~event:"row"
-           (sweep_row_fields ~minor sp @ diags_field (A.Engine.point_diags sp)));
-      incr sent;
-      if sp.A.Engine.sp_feasible then incr feasible;
-      if sp.A.Engine.sp_resumed then incr resumed
-    in
-    ignore (A.Engine.run_sweep ~shared:true ~on_point t.engine points);
-    ( P.event_response ~id ~op:"sweep" ~event:"done"
-        [ ("points", J.Int !sent);
-          ("feasible", J.Int !feasible);
-          ("resumed", J.Int !resumed) ],
-      true )
-  | _ ->
-    (* the buffered form: what pre-minor-1 clients always get *)
-    let results = A.Engine.run_sweep ~shared:true t.engine points in
-    List.iter (record_point t) results;
-    let rows =
-      List.map (fun sp -> J.Obj (sweep_row_fields ~minor sp)) results
-    in
-    let tagged = List.concat_map A.Engine.point_diags results in
-    ( P.ok_response ~id ~op:"sweep"
-        ([ ("rows", J.List rows) ] @ diags_field tagged),
-      true )
+  execute_rows t req ~emit ~run:(fun ~on_point ->
+      let results = A.Engine.run_sweep ~shared:true ~on_point t.engine points in
+      let feasible = List.filter (fun sp -> sp.A.Engine.sp_feasible) results in
+      ( results,
+        [ ("points", J.Int (List.length results));
+          ("feasible", J.Int (List.length feasible)) ],
+        [] ))
 
-let execute_advise t ~(id : J.t) ~(minor : int)
-    ~(emit : (string -> unit) option) (source : P.source) (base : Y.t)
-    (constraints : Y.t) (stream : bool) : string * bool =
+let execute_advise t (req : P.request) ~emit (source : P.source) (base : Y.t)
+    (constraints : Y.t) : (string * J.t) list =
   let src = flow_source source in
   let cfg = effective_config t base in
   let plan = A.Advisor.plan_of_source ~base:cfg ~constraints src in
-  let finish (report : A.Advisor.report) : (string * J.t) list =
-    [ ("candidates", J.Int (List.length report.A.Advisor.r_entries));
-      ("deduped", J.Int report.A.Advisor.r_deduped);
-      ( "front",
-        J.List (List.map A.Advisor.json_of_entry report.A.Advisor.r_front) )
-    ]
-  in
-  match emit with
-  | Some emit when stream && minor >= 4 ->
-    (* negotiated streaming, same framing as sweep rows: candidates go
-       out as they complete (after their checkpoint write), the
-       terminal frame carries the ranked Pareto front — which can only
-       be computed once every candidate is in *)
-    let resumed = ref 0 in
-    let on_point (sp : A.Engine.sweep_point) =
-      record_point t sp;
-      if sp.A.Engine.sp_resumed then incr resumed;
-      emit
-        (P.event_response ~id ~op:"advise" ~event:"row"
-           (sweep_row_fields ~minor sp @ diags_field (A.Engine.point_diags sp)))
-    in
-    let report = A.Advisor.run ~shared:true ~on_point t.engine ~source:src plan in
-    ( P.event_response ~id ~op:"advise" ~event:"done"
-        (finish report @ [ ("resumed", J.Int !resumed) ]),
-      true )
-  | _ ->
-    (* the buffered form: what pre-minor-4 clients always get, stream
-       flag or not *)
-    let report = A.Advisor.run ~shared:true t.engine ~source:src plan in
-    let points =
-      List.map (fun (e : A.Advisor.entry) -> e.A.Advisor.e_point)
-        report.A.Advisor.r_entries
-    in
-    List.iter (record_point t) points;
-    let rows =
-      List.map (fun sp -> J.Obj (sweep_row_fields ~minor sp)) points
-    in
-    let tagged = List.concat_map A.Engine.point_diags points in
-    ( P.ok_response ~id ~op:"advise"
-        ([ ("rows", J.List rows) ] @ finish report @ diags_field tagged),
-      true )
+  execute_rows t req ~emit ~run:(fun ~on_point ->
+      let report =
+        A.Advisor.run ~shared:true ~on_point t.engine ~source:src plan
+      in
+      let summary =
+        [ ("candidates", J.Int (List.length report.A.Advisor.r_entries));
+          ("deduped", J.Int report.A.Advisor.r_deduped);
+          ( "front",
+            J.List
+              (List.map A.Advisor.json_of_entry report.A.Advisor.r_front) ) ]
+      in
+      ( List.map (fun (e : A.Advisor.entry) -> e.A.Advisor.e_point)
+          report.A.Advisor.r_entries,
+        summary,
+        summary ))
 
-let execute_cache_gc t ~(id : J.t) (max_bytes : int option) : string * bool =
+let execute_cache_gc t (max_bytes : int option) : (string * J.t) list =
   match A.Engine.gc ?max_bytes t.engine with
   | None ->
-    ( P.error_response ~id ~kind:"no_cache" ~op:"cache-gc"
-        (D.error ~code:"E1006"
-           "cache-gc: this server runs with caching disabled"),
-      false )
+    raise
+      (Refused
+         { kind = "no_cache"; diags = [];
+           diag =
+             D.error ~code:"E1006"
+               "cache-gc: this server runs with caching disabled" })
   | Some g ->
-    ( P.ok_response ~id ~op:"cache-gc"
-        [ ("examined", J.Int g.A.Disk_cache.gc_examined);
-          ("quarantined", J.Int g.A.Disk_cache.gc_quarantined);
-          ("evicted", J.Int g.A.Disk_cache.gc_evicted);
-          ("freed_bytes", J.Int g.A.Disk_cache.gc_freed_bytes);
-          ("live_bytes", J.Int g.A.Disk_cache.gc_live_bytes);
-          ("writes_reenabled", J.Bool g.A.Disk_cache.gc_writes_reenabled) ],
-      true )
+    [ ("examined", J.Int g.A.Disk_cache.gc_examined);
+      ("quarantined", J.Int g.A.Disk_cache.gc_quarantined);
+      ("evicted", J.Int g.A.Disk_cache.gc_evicted);
+      ("freed_bytes", J.Int g.A.Disk_cache.gc_freed_bytes);
+      ("live_bytes", J.Int g.A.Disk_cache.gc_live_bytes);
+      ("writes_reenabled", J.Bool g.A.Disk_cache.gc_writes_reenabled) ]
 
-let execute_stats t ~(id : J.t) : string * bool =
+let execute_stats t : (string * J.t) list =
   let s = Metrics.snapshot t.metrics in
   let cheap_q, heavy_q, unclassified, active =
     Mutex.lock t.mu;
@@ -452,8 +415,7 @@ let execute_stats t ~(id : J.t) : string * bool =
                      (fun (site, n) -> (site, J.Int n))
                      (Fi.injected t.cfg.faults)) ) ] ) ]
   in
-  ( P.ok_response ~id ~op:"stats"
-      ([ ("uptime_s", J.Float s.Metrics.uptime_s);
+  [ ("uptime_s", J.Float s.Metrics.uptime_s);
         ("in_flight", J.Int active);
         ( "queued",
           J.Obj
@@ -492,8 +454,7 @@ let execute_stats t ~(id : J.t) : string * bool =
             [ ("run", J.Int s.Metrics.attacks_run);
               ("cached", J.Int s.Metrics.attacks_cached);
               ("inconclusive", J.Int s.Metrics.attacks_inconclusive) ] ) ]
-      @ faults),
-    true )
+  @ faults
 
 (* Classify an exception escaping request execution, mirroring the CLI
    classifier: recognized input problems keep their layer code, the
@@ -508,82 +469,66 @@ let diag_of_exn : exn -> D.t = function
   | Sys_error msg -> D.error ~code:"E0001" "%s" msg
   | e -> D.of_exn e
 
-let execute t ~(id : J.t) ~(minor : int) ~(emit : (string -> unit) option)
-    (op : P.op) : string * bool * [ `Continue | `Stop ] =
-  match op with
+let answer t ~emit (req : P.request) : (string * J.t) list =
+  match req.P.op with
   | P.Ping ->
-    let s = Metrics.snapshot t.metrics in
-    ( P.ok_response ~id ~op:"ping"
-        [ ("server", J.String "alice");
-          ("protocol", J.Int P.version);
-          ("minor", J.Int P.minor);
-          ("uptime_s", J.Float s.Metrics.uptime_s) ],
-      true, `Continue )
-  | P.Stats ->
-    let resp, ok = execute_stats t ~id in
-    (resp, ok, `Continue)
-  | P.Shutdown ->
-    (P.ok_response ~id ~op:"shutdown" [ ("draining", J.Bool true) ], true, `Stop)
-  | P.Redact { source; config; view } -> (
-    match execute_redact t ~id ~minor source config view with
-    | resp, ok -> (resp, ok, `Continue)
-    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-    | exception e ->
-      ( P.error_response ~id ~kind:"failed" ~op:"redact" (diag_of_exn e),
-        false, `Continue ))
-  | P.Characterize { source; config } -> (
-    match execute_characterize t ~id source config with
-    | resp, ok -> (resp, ok, `Continue)
-    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-    | exception e ->
-      ( P.error_response ~id ~kind:"failed" ~op:"characterize" (diag_of_exn e),
-        false, `Continue ))
-  | P.Sweep { source; base; entries; stream } -> (
-    match execute_sweep t ~id ~minor ~emit source base entries stream with
-    | resp, ok -> (resp, ok, `Continue)
-    | exception ((Out_of_memory | Stack_overflow | Stream_failed _) as e) ->
-      raise e
-    | exception e ->
-      (* after rows went out this error line is still well-formed: a
-         non-row frame concludes the exchange on the client side *)
-      ( P.error_response ~id ~kind:"failed" ~op:"sweep" (diag_of_exn e),
-        false, `Continue ))
-  | P.Advise { source; base; constraints; stream } -> (
-    match execute_advise t ~id ~minor ~emit source base constraints stream with
-    | resp, ok -> (resp, ok, `Continue)
-    | exception ((Out_of_memory | Stack_overflow | Stream_failed _) as e) ->
-      raise e
-    | exception e ->
-      ( P.error_response ~id ~kind:"failed" ~op:"advise" (diag_of_exn e),
-        false, `Continue ))
-  | P.CacheGc { max_bytes } -> (
-    match execute_cache_gc t ~id max_bytes with
-    | resp, ok -> (resp, ok, `Continue)
-    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-    | exception e ->
-      ( P.error_response ~id ~kind:"failed" ~op:"cache-gc" (diag_of_exn e),
-        false, `Continue ))
+    [ ("server", J.String "alice");
+      ("protocol", J.Int P.version);
+      ("minor", J.Int P.minor);
+      ("uptime_s", J.Float (Metrics.snapshot t.metrics).Metrics.uptime_s) ]
+  | P.Stats -> execute_stats t
+  | P.Shutdown -> [ ("draining", J.Bool true) ]
+  | P.Redact { source; config; view } -> execute_redact t req source config view
+  | P.Characterize { source; config } -> execute_characterize t source config
+  | P.Sweep { source; base; entries; _ } ->
+    execute_sweep t req ~emit source base entries
+  | P.Advise { source; base; constraints; _ } ->
+    execute_advise t req ~emit source base constraints
+  | P.CacheGc { max_bytes } -> execute_cache_gc t max_bytes
+
+(* One response line and whether it succeeded, for every op. A dead
+   stream and resource exhaustion escape (nobody can receive a line, or
+   nothing should be trusted); any other exception is the op's failure.
+   After rows went out, the error line is still well-formed: a non-row
+   frame concludes the exchange on the client side. *)
+let execute t ~emit (req : P.request) : string * bool =
+  let id = req.P.id and op = P.op_name req.P.op in
+  match answer t ~emit req with
+  | fields -> (P.ok_response ~id ~op fields, true)
+  | exception ((Out_of_memory | Stack_overflow | Stream_failed _) as e) ->
+    raise e
+  | exception Refused { kind; diags; diag } ->
+    (P.error_response ~id ~kind ~op ~diags diag, false)
+  | exception e ->
+    (P.error_response ~id ~kind:"failed" ~op (diag_of_exn e), false)
 
 (* ---------- connection handling ---------- *)
 
-let respond t ~(emit : (string -> unit) option) (line : string) :
+let respond t ~(emit : string -> unit) (line : string) :
     string * [ `Continue | `Stop ] =
   let t0 = Unix.gettimeofday () in
+  let completed ~op ~ok =
+    Metrics.record_completed t.metrics ~op ~ok
+      ~seconds:(Unix.gettimeofday () -. t0)
+  in
   match P.parse_request line with
   | exception P.Bad_request { kind; diag } ->
     (* malformed traffic must be visible in [stats]: a misbehaving
        client spamming garbage is exactly when the operator looks *)
     Metrics.record_received t.metrics ~op:invalid_op;
-    Metrics.record_completed t.metrics ~op:invalid_op ~ok:false
-      ~seconds:(Unix.gettimeofday () -. t0);
+    completed ~op:invalid_op ~ok:false;
     (P.error_response ~id:J.Null ~kind diag, `Continue)
-  | { P.id; minor; op } ->
-    let name = P.op_name op in
-    Metrics.record_received t.metrics ~op:name;
-    let resp, ok, action = execute t ~id ~minor ~emit op in
-    Metrics.record_completed t.metrics ~op:name ~ok
-      ~seconds:(Unix.gettimeofday () -. t0);
-    (resp, action)
+  | req -> (
+    let op = P.op_name req.P.op in
+    Metrics.record_received t.metrics ~op;
+    match execute t ~emit req with
+    | resp, ok ->
+      completed ~op ~ok;
+      (resp, match req.P.op with P.Shutdown -> `Stop | _ -> `Continue)
+    | exception e ->
+      (* a dropped stream still ends the request: count it failed *)
+      completed ~op ~ok:false;
+      raise e)
 
 (* wake the acceptor out of [select] with a throwaway connection to
    each listener; nothing here blocks or takes a lock, so it is
@@ -653,7 +598,7 @@ let handle_connection t (fd : Unix.file_descr) : unit =
       | Some line when String.trim line = "" -> ()
       | Some line ->
         Fi.hit faults "server.worker";
-        let resp, action = respond t ~emit:(Some emit) line in
+        let resp, action = respond t ~emit line in
         (match Fi.check faults "sock.write" with
         | Some (Fi.Delay s) -> Unix.sleepf s
         | Some _ ->

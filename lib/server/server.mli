@@ -17,9 +17,10 @@
     admitted connection — by peeking (without consuming) its first
     request line — into one of two lanes: {e cheap}
     ([ping]/[stats]/[cache-gc]/[shutdown], and malformed requests) or
-    {e heavy} ([redact]/[characterize]/[sweep]). With two or more
-    workers, one is reserved for the cheap lane, so a saturating sweep
-    load can never starve health checks; the remaining workers drain
+    {e heavy} ([redact]/[characterize]/[sweep]/[advise]), as the
+    {!Protocol} op table says. With two or more workers, one is
+    reserved for the cheap lane, so a saturating sweep load can never
+    starve health checks; the remaining workers drain
     the cheap lane first, then the heavy one. A connection's lane is
     fixed by its first request (one-shot clients, the common case, send
     exactly one). Once [active + queued] reaches
@@ -28,17 +29,17 @@
     queuing without bound — load sheds at the door, never by hanging.
     [stats] reports the per-lane queue depths.
 
-    {2 Streaming sweeps}
+    {2 Streaming}
 
-    A [sweep] request that sets [stream:true] and announces protocol
-    minor [mv >= 1] is answered incrementally: one
-    [{"ok":true,"op":"sweep","event":"row",...}] line per completed
-    point, then a terminal [{"event":"done",...}] summary frame. Rows
-    are emitted after their checkpoint is written, so a client that
-    hangs up mid-sweep wastes at most the point in flight — a rerun
-    resumes the rest from the sweep store. Clients that do not announce
-    [mv >= 1] get the buffered single-line form whatever they asked
-    for.
+    A [sweep] or [advise] request that sets [stream:true] and announces
+    its op's streaming minor ({!Protocol.streams}) is answered
+    incrementally: one [{"ok":true,...,"event":"row",...}] line per
+    completed point, then a terminal [{"event":"done",...}] summary
+    frame; every other request gets the buffered single-line form. Both
+    ops share one row path. Rows are emitted after their checkpoint is
+    written, so a client that hangs up mid-run wastes at most the point
+    in flight — a rerun resumes the rest — and the request is counted
+    failed in [stats].
 
     {2 Deadlines and drain}
 

@@ -3,7 +3,8 @@
    metrics registry, and in-process end-to-end passes over live servers
    on both transports — ping, byte-identical redaction, warm-cache
    stats, admission control, cheap-lane starvation resistance,
-   streaming sweeps, and a clean drain. *)
+   streaming sweeps and advise, a dropped stream, golden response
+   frames, and a clean drain. *)
 
 module A = Alice
 module C = Alice_config
@@ -214,11 +215,11 @@ let test_protocol_lanes () =
   (* garbage costs one error line: it must never wait behind a sweep *)
   check "garbage" S.Protocol.Cheap "not json at all";
   check "no op" S.Protocol.Cheap {|{"v":1}|};
-  let r =
-    S.Protocol.parse_request {|{"v":1,"op":"characterize","source":"m"}|}
-  in
-  Alcotest.check lane "lane_of_op" S.Protocol.Heavy
-    (S.Protocol.lane_of_op r.S.Protocol.op)
+  (* a line that parses into a heavy op is classified heavy *)
+  let line = {|{"v":1,"op":"characterize","source":"m"}|} in
+  Alcotest.(check string) "parses" "characterize"
+    (S.Protocol.op_name (S.Protocol.parse_request line).S.Protocol.op);
+  check "parsed characterize" S.Protocol.Heavy line
 
 let test_protocol_responses () =
   let ok =
@@ -357,7 +358,8 @@ let tmp_socket () =
 (* start a server on [listen] (default: one fresh Unix socket) and hand
    the test the canonical string of its first effective endpoint — for
    tcp:HOST:0 this carries the kernel-chosen port *)
-let with_server ?(max_in_flight = 2) ?(max_queue = 4) ?listen f =
+let with_server ?(max_in_flight = 2) ?(max_queue = 4) ?listen
+    ?(faults = Alice_fault.Fault.none) f =
   let listen =
     match listen with
     | Some l -> l
@@ -366,7 +368,7 @@ let with_server ?(max_in_flight = 2) ?(max_queue = 4) ?listen f =
   let cfg =
     { (S.Server.default_config ~socket_path:"/unused") with
       S.Server.listen; max_in_flight; max_queue; base = base_yaml;
-      idle_timeout_s = 20.0 }
+      idle_timeout_s = 20.0; faults }
   in
   let t = S.Server.start ~engine:(A.Engine.create ~cache:false ()) cfg in
   Fun.protect
@@ -664,6 +666,35 @@ let test_server_streaming_sweep () =
       Alcotest.(check int) "summary points" 3 (J.get_int done_frame "points");
       Alcotest.(check bool) "summary feasible count" true
         (J.get_int done_frame "feasible" >= 1))
+
+let test_server_dropped_stream () =
+  (* the second row write fails: the client sees a dropped link, the
+     worker survives, and stats count the sweep as received and failed *)
+  with_server ~faults:(Alice_fault.Fault.parse "sock.stream=fail@2")
+    (fun socket _t ->
+      let rows = ref 0 in
+      let conn = S.Client.connect ~socket () in
+      (match
+         Fun.protect ~finally:(fun () -> S.Client.close conn) (fun () ->
+             S.Client.rpc_stream conn
+               ~on_event:(fun _ -> incr rows)
+               (S.Protocol.sweep_request ~stream:true ~entries:sweep_entries
+                  (S.Protocol.Inline demo_src)))
+       with
+      | _ -> Alcotest.fail "the stream outlived a failed row write"
+      | exception S.Client.Connection_error _ -> ());
+      Alcotest.(check int) "rows before the drop" 1 !rows;
+      (* the next connection is served *)
+      let stats = J.parse (rpc socket (S.Protocol.stats_request ())) in
+      Alcotest.(check bool) "stats ok" true (J.get_bool stats "ok");
+      (match J.find stats "workers" with
+      | Some w -> Alcotest.(check int) "no worker crash" 0 (J.get_int w "crashed")
+      | None -> Alcotest.fail "no workers block");
+      match Option.bind (J.find stats "requests") (fun r -> J.find r "sweep") with
+      | Some c ->
+        Alcotest.(check (list int)) "received = succeeded + failed" [ 1; 0; 1 ]
+          (List.map (J.get_int c) [ "received"; "succeeded"; "failed" ])
+      | None -> Alcotest.fail "no sweep counters")
 
 let test_server_streaming_negotiation () =
   (* a pre-minor-1 client (no mv field) asking for stream:true must get
@@ -963,6 +994,8 @@ let tests =
     Alcotest.test_case "cheap lane immune to heavy saturation" `Quick
       test_server_cheap_lane_no_starvation;
     Alcotest.test_case "streaming sweep" `Quick test_server_streaming_sweep;
+    Alcotest.test_case "dropped stream counted failed" `Quick
+      test_server_dropped_stream;
     Alcotest.test_case "streaming negotiation" `Quick
       test_server_streaming_negotiation;
     Alcotest.test_case "streaming advise" `Quick test_server_streaming_advise;
