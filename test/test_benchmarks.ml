@@ -280,32 +280,41 @@ let test_configs_match_paper_params () =
       Alcotest.(check (float 1e-9)) "beta 1" 1.0 c1.Alice_config.Flow_config.beta)
     B.all
 
-(* the headline Table 2 structural columns for the fast designs; DES3 is
-   exercised by the bench harness (it takes ~minutes) *)
+(* the headline Table 2 structural columns for the fast designs, plus
+   the characterization accounting (unique cache keys, keys computed)
+   of each cold flow; DES3 is exercised by the bench harness (it takes
+   ~minutes) *)
 let test_flow_columns () =
   let expect =
-    (* name, cfg, R, C, valid, chosen sizes, redacted *)
-    [ ("FIR", `C1, 1, Some 1, Some 1, [ "6x6" ], Some 1);
-      ("FIR", `C2, 3, Some 3, Some 3, [ "6x6" ], Some 1);
-      ("IIR", `C1, 0, None, None, [], None);
-      ("IIR", `C2, 2, Some 2, Some 2, [ "9x9" ], Some 1);
-      ("SHA256", `C1, 1, Some 1, Some 1, [ "12x12" ], Some 1);
-      ("SASC", `C1, 1, Some 1, Some 1, [ "7x7" ], Some 1);
-      ("USB_PHY", `C1, 2, Some 3, Some 1, [ "7x7" ], Some 1);
-      ("GCD", `C1, 9, Some 29, Some 22, [ "5x5"; "4x4" ], Some 4) ]
+    (* name, cfg, R, C, valid, chosen sizes, redacted, unique, computed *)
+    [ ("FIR", `C1, 1, Some 1, Some 1, [ "6x6" ], Some 1, 1, 1);
+      ("FIR", `C2, 3, Some 3, Some 3, [ "6x6" ], Some 1, 3, 3);
+      ("IIR", `C1, 0, None, None, [], None, 0, 0);
+      ("IIR", `C2, 2, Some 2, Some 2, [ "9x9" ], Some 1, 2, 2);
+      ("SHA256", `C1, 1, Some 1, Some 1, [ "12x12" ], Some 1, 1, 1);
+      ("SHA256", `C2, 1, Some 1, Some 1, [ "12x12" ], Some 1, 1, 1);
+      ("SASC", `C1, 1, Some 1, Some 1, [ "7x7" ], Some 1, 1, 1);
+      ("SASC", `C2, 1, Some 1, Some 1, [ "7x7" ], Some 1, 1, 1);
+      ("USB_PHY", `C1, 2, Some 3, Some 1, [ "7x7" ], Some 1, 3, 3);
+      ("USB_PHY", `C2, 2, Some 3, Some 1, [ "7x7" ], Some 1, 3, 3);
+      ("GCD", `C1, 9, Some 29, Some 22, [ "5x5"; "4x4" ], Some 4, 27, 27);
+      ("GCD", `C2, 10, Some 90, Some 83, [ "6x6" ], Some 3, 84, 84) ]
   in
   List.iter
-    (fun (name, cfg, r, c, valid, sizes, redacted) ->
+    (fun (name, cfg, r, c, valid, sizes, redacted, unique, computed) ->
       let b = Option.get (B.find name) in
       let config = match cfg with `C1 -> B.config1 b | `C2 -> B.config2 b in
       let flow = flow_ast ~config (B.parse b) in
       let row = A.Report.row_of_flow ~design_name:name flow in
+      let stats = flow.A.Flow.char_stats in
       let tag fmt = Printf.sprintf "%s/%s %s" name (match cfg with `C1 -> "cfg1" | `C2 -> "cfg2") fmt in
       Alcotest.(check int) (tag "R") r row.A.Report.r_count;
       Alcotest.(check (option int)) (tag "C") c row.A.Report.c_count;
       Alcotest.(check (option int)) (tag "valid") valid row.A.Report.valid_efpgas;
       Alcotest.(check (list string)) (tag "sizes") sizes row.A.Report.efpga_sizes;
-      Alcotest.(check (option int)) (tag "redacted") redacted row.A.Report.redacted_modules)
+      Alcotest.(check (option int)) (tag "redacted") redacted row.A.Report.redacted_modules;
+      Alcotest.(check int) (tag "unique") unique stats.A.Characterize.unique;
+      Alcotest.(check int) (tag "computed") computed stats.A.Characterize.computed)
     expect
 
 let test_soc_context () =
