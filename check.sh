@@ -239,6 +239,27 @@ if ! cmp -s "$tmpdir/advise_cold.json" "$tmpdir/advise_warm.json"; then
   echo "check.sh: advise reports differ between cold and warm cache" >&2
   exit 1
 fi
+# a corrupt checkpoint is quarantined with a W0702 on the run's
+# diagnostics, recomputed, and renders byte-identically again
+ckpt=$(find "$tmpdir/acache/sweep/v1" -name '*.bin' | head -n 1)
+if [ -z "$ckpt" ]; then
+  echo "check.sh: advise wrote no sweep checkpoints" >&2
+  exit 1
+fi
+printf 'garbage' > "$ckpt"
+dune exec --no-build bin/alice_cli.exe -- advise "$tmpdir/gcd.v" \
+  -c "$tmpdir/advise.yaml" --format json \
+  --cache-dir "$tmpdir/acache" \
+  > "$tmpdir/advise_rot.json" 2> "$tmpdir/astderr_rot.txt"
+if ! grep -q 'W0702' "$tmpdir/astderr_rot.txt"; then
+  echo "check.sh: corrupt advise checkpoint raised no W0702:" >&2
+  cat "$tmpdir/astderr_rot.txt" >&2
+  exit 1
+fi
+if ! cmp -s "$tmpdir/advise_cold.json" "$tmpdir/advise_rot.json"; then
+  echo "check.sh: advise report differs after a corrupt checkpoint" >&2
+  exit 1
+fi
 
 # --- redaction service: 8 concurrent clients, warm stats, streaming ---
 # --- sweep and advise, clean drain — once per transport (unix + tcp) --

@@ -3,9 +3,10 @@
     instantiating the members with all ports exposed, synthesized,
     LUT-mapped, and passed to the minimum-fabric search. Results are
     cached by member-module multiset (content-digested) plus the
-    configuration's {!Alice_config.Flow_config.characterize_digest};
-    {!run_all_stats} deduplicates by that key up front and characterizes the
-    unique keys across a Domain-based worker pool, with output
+    configuration's {!Alice_config.Flow_config.characterize_digest}.
+    {!run_all_stats} hands the keyed clusters to
+    {!Alice_parallel.Memo.resolve}, which dedupes, serves hits, runs
+    the misses on a Domain-based worker pool and writes back; output is
     bit-identical to the serial order for any [jobs] value. The cache
     may be supplied by the caller (see {!Engine}) so it outlives one
     run. *)
@@ -76,16 +77,17 @@ val keyer :
   V.Elaborate.design -> C.Flow_config.t -> Clustering.cluster -> string
 
 (** Characterize every cluster; order preserved and output independent
-    of [jobs] (default 1: strictly serial, no domain spawned).
-    Clusters are deduplicated by cache key up front — one computation
-    per unique key, fanned back out to every aliasing cluster with
-    per-cluster relabeled diagnostics. Keys already present in [cache]
-    (default: a fresh ephemeral one) are served from it; only fabric
-    verdicts ([Implemented]/[Infeasible]) are written back, so faults
-    and deadline skips never stick across runs. With [deadline_s],
-    computations not started before the wall-clock deadline come back
-    [Skipped] with a [W0701] diagnostic; in-flight computations are
-    allowed to finish. Also returns this run's cache accounting. *)
+    of [jobs] (default 1: strictly serial, no domain spawned). The batch
+    is one {!Alice_parallel.Memo.resolve} over [cache] (default: a fresh
+    ephemeral one); this function supplies the computation, the
+    fallbacks for a lost task ([Failed] for a task that raised,
+    [Skipped] with a [W0701] diagnostic for one the wall-clock
+    [deadline_s] stopped before it started — in-flight computations
+    finish), the write-back rule (fabric verdicts,
+    [Implemented]/[Infeasible], only — faults and deadline skips never
+    stick across runs), and the fan-out relabeling, which gives every
+    aliasing cluster the shared result with diagnostics naming its own
+    instances. Also returns this run's cache accounting. *)
 val run_all_stats :
   ?deadline_s:float ->
   ?jobs:int ->

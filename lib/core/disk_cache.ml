@@ -159,11 +159,11 @@ let quarantine (t : t) (path : string) : unit =
    with _ -> ( try Sys.remove path with Sys_error _ -> ()));
   Mutex.protect t.mu (fun () -> t.quarantined <- t.quarantined + 1)
 
-(* Entry validation, strict end to end: header shape, format version,
-   payload length, payload digest, then the embedded key. Everything
-   after the digest check is safe to [Marshal.from_string] — a blob
-   whose MD5 matches is the blob we wrote. *)
-let parse_entry (key : string) (raw : string) : ('v, string) result =
+(* The one entry check, shared by [load] and [gc]: header shape,
+   format version, payload length, payload digest. A payload it returns
+   is safe to [Marshal.from_string] — a blob whose MD5 matches is the
+   blob we wrote. *)
+let checked_payload (raw : string) : (string, string) result =
   match String.index_opt raw '\n' with
   | None -> Error "missing header"
   | Some nl -> (
@@ -184,27 +184,15 @@ let parse_entry (key : string) (raw : string) : ('v, string) result =
              (String.length payload) len)
       else if Digest.to_hex (Digest.string payload) <> digest then
         Error "payload checksum mismatch"
-      else
-        match Marshal.from_string payload 0 with
-        | exception _ -> Error "undecodable payload"
-        | stored_key, v ->
-          if (stored_key : string) <> key then Error "key collision" else Ok v)
+      else Ok payload)
 
-(* a valid header + checksum, without knowing the key — gc's view *)
-let entry_is_valid (raw : string) : bool =
-  match String.index_opt raw '\n' with
-  | None -> false
-  | Some nl -> (
-    let header = String.sub raw 0 nl in
-    let payload = String.sub raw (nl + 1) (String.length raw - nl - 1) in
-    match
-      Scanf.sscanf header "ALICE-CACHE %d %s %d" (fun v d n -> (v, d, n))
-    with
-    | exception _ -> false
-    | version, digest, len ->
-      version = format_version
-      && String.length payload = len
-      && Digest.to_hex (Digest.string payload) = digest)
+(* [checked_payload], then decode and re-check the embedded key *)
+let parse_entry (key : string) (raw : string) : ('v, string) result =
+  Result.bind (checked_payload raw) (fun payload ->
+      match Marshal.from_string payload 0 with
+      | exception _ -> Error "undecodable payload"
+      | stored_key, v ->
+        if (stored_key : string) <> key then Error "key collision" else Ok v)
 
 let load (t : t) ~(key : string) : 'v option =
   let path = entry_path t key in
@@ -377,7 +365,7 @@ let gc ?max_bytes (t : t) : gc_stats =
       (fun (n, bytes) (path, size, _) ->
         let ok =
           match read_file path with
-          | raw -> entry_is_valid raw
+          | raw -> Result.is_ok (checked_payload raw)
           | exception Sys_error _ -> false
         in
         if ok then (n, bytes)

@@ -106,8 +106,9 @@ val writes_enabled : t -> bool
     warn-once is per disabled episode, not per process. *)
 val enable_writes : t -> unit
 
-(** [gc ?max_bytes t] validates every entry (header, length, checksum),
-    quarantines the ones that fail, evicts least-recently-used valid
+(** [gc ?max_bytes t] validates every entry with {!load}'s own check
+    (header, version, length, checksum — all but the key, which only a
+    load knows), quarantines the ones that fail, evicts least-recently-used valid
     entries until the store fits [max_bytes] (default: the budget given
     at {!create}; no budget, no eviction), and re-enables writes. Safe
     against concurrent loads/stores: validation reads whole files,

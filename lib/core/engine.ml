@@ -28,60 +28,55 @@ module Fi = Alice_fault.Fault
    measured scoring without reaching into [lib/core] internals. *)
 module Scorer = Selection.Scorer
 
+(* The persistent namespaces, one [Disk_cache] each because a store
+   holds one value type: characterizations at the root, attack verdicts
+   and sweep checkpoints one directory below it. *)
+type namespace = Characterizations | Attacks | Sweeps
+
 type t = {
   memo : Characterize.cache;
-  disk : Disk_cache.t option;
-  sweep_store : Disk_cache.t option;
-      (* per-point sweep checkpoints, a separate store (one value type
-         per store) under <root>/sweep; never byte-bounded — summaries
-         are tiny and evicting one silently costs a recomputation *)
   attack_memo : Scorer.cache;
       (* measured-selection attack verdicts, shared across runs like
-         [memo]; backed by [attack_store] when caching is on *)
-  attack_store : Disk_cache.t option;
-      (* persistent attack/ namespace under <root>/attack — a separate
-         store because one store holds one value type *)
+         [memo] *)
+  stores : (namespace * Disk_cache.t) list;
+      (* every persistent namespace, empty when caching is off; each
+         store-wide operation iterates this list *)
   faults : Fi.t;
 }
+
+let load store key = Disk_cache.load store ~key
+let save store key v = Disk_cache.store store ~key v
 
 let create ?(cache = true) ?cache_dir ?max_bytes ?faults () : t =
   let faults = match faults with Some f -> f | None -> Fi.global () in
   if not cache then
-    { memo = Characterize.create_cache (); disk = None; sweep_store = None;
-      attack_memo = Scorer.create_cache (); attack_store = None; faults }
+    { memo = Characterize.create_cache ();
+      attack_memo = Scorer.create_cache (); stores = []; faults }
   else begin
     let disk = Disk_cache.create ?root:cache_dir ?max_bytes ~faults () in
-    let load key = Disk_cache.load disk ~key in
-    (* the disk layer only ever holds fabric verdicts; [run_all_stats]
-       already refuses to cache faults and skips *)
-    let save key (c : Characterize.characterization) =
-      match c.Characterize.outcome with
-      | Characterize.Implemented _ | Characterize.Infeasible _ ->
-        Disk_cache.store disk ~key c
-      | Characterize.Failed _ | Characterize.Skipped _ -> ()
-    in
-    let sweep_store =
-      Disk_cache.create
-        ~root:(Filename.concat (Disk_cache.root disk) "sweep")
+    (* the namespaces below the root are never byte-bounded: verdicts
+       and checkpoint summaries are tiny, and evicting one silently
+       costs a recomputation *)
+    let below name =
+      Disk_cache.create ~root:(Filename.concat (Disk_cache.root disk) name)
         ~faults ()
     in
-    let attack_store =
-      Disk_cache.create
-        ~root:(Filename.concat (Disk_cache.root disk) "attack")
-        ~faults ()
-    in
-    (* every verdict status persists: a verdict is a deterministic fact
-       about (netlist, fabric, budget), including Inconclusive ones —
-       the Scorer never caches crashed tasks in the first place *)
-    let attack_load key = Disk_cache.load attack_store ~key in
-    let attack_save key (v : Scorer.verdict) =
-      Disk_cache.store attack_store ~key v
-    in
-    { memo = Characterize.create_cache ~load ~save (); disk = Some disk;
-      sweep_store = Some sweep_store;
-      attack_memo = Scorer.create_cache ~load:attack_load ~save:attack_save ();
-      attack_store = Some attack_store; faults }
+    let attacks = below "attack" and sweeps = below "sweep" in
+    (* the memo tables decide what is written back: fabric verdicts
+       only for characterizations, every computed attack verdict *)
+    { memo = Characterize.create_cache ~load:(load disk) ~save:(save disk) ();
+      attack_memo =
+        Scorer.create_cache ~load:(load attacks) ~save:(save attacks) ();
+      stores =
+        [ (Characterizations, disk); (Attacks, attacks); (Sweeps, sweeps) ];
+      faults }
   end
+
+let store (t : t) (ns : namespace) : Disk_cache.t option =
+  List.assoc_opt ns t.stores
+
+let each_store (t : t) (f : Disk_cache.t -> unit) : unit =
+  List.iter (fun (_, s) -> f s) t.stores
 
 (** An engine honoring the configuration's cache knobs ([cache],
     [cache_dir], [cache_max_bytes]) and fault plan. *)
@@ -98,10 +93,24 @@ let cache (t : t) : Characterize.cache = t.memo
 
 let attack_cache (t : t) : Scorer.cache = t.attack_memo
 
-let cache_root (t : t) : string option = Option.map Disk_cache.root t.disk
+let cache_root (t : t) : string option =
+  Option.map Disk_cache.root (store t Characterizations)
 
 let disk_stats (t : t) : Disk_cache.stats option =
-  Option.map Disk_cache.stats t.disk
+  Option.map Disk_cache.stats (store t Characterizations)
+
+(* Route every namespace's warnings to [sink] while [f] runs. Swapping
+   sinks is the one part of the engine that is not thread-safe. *)
+let with_sink (t : t) (sink : D.t -> unit) (f : unit -> 'a) : 'a =
+  each_store t (fun s -> Disk_cache.set_sink s sink);
+  Fun.protect ~finally:(fun () -> each_store t Disk_cache.clear_sink) f
+
+(** Like [run], but without touching the stores' warning sinks, so
+    overlapping calls from several threads are safe. Cache-degradation
+    warnings raised on behalf of any concurrent request go to the
+    engine-wide sink installed with [set_warning_sink]. *)
+let run_shared (t : t) (req : Flow.request) : Flow.t =
+  Flow.run_request ~cache:t.memo ~attack_cache:t.attack_memo req
 
 (** Run one request through the engine's cache. Cache-degradation
     warnings raised while this request runs land on its diagnostics
@@ -111,35 +120,11 @@ let run (t : t) (req : Flow.request) : Flow.t =
   let collector =
     match req.Flow.diags with Some c -> c | None -> D.Collector.create ()
   in
-  let req = { req with Flow.diags = Some collector } in
-  match t.disk with
-  | None -> Flow.run_request ~cache:t.memo ~attack_cache:t.attack_memo req
-  | Some disk ->
-    Disk_cache.set_sink disk (D.Collector.add collector);
-    Option.iter
-      (fun store -> Disk_cache.set_sink store (D.Collector.add collector))
-      t.attack_store;
-    Fun.protect
-      ~finally:(fun () ->
-        Disk_cache.clear_sink disk;
-        Option.iter Disk_cache.clear_sink t.attack_store)
-      (fun () ->
-        Flow.run_request ~cache:t.memo ~attack_cache:t.attack_memo req)
-
-(** Like [run], but without touching the disk store's warning sink, so
-    overlapping calls from several threads are safe — the sink swap in
-    [run] is the only part of the engine that is not. Cache-degradation
-    warnings raised on behalf of any concurrent request go to the
-    engine-wide sink installed with [set_warning_sink]. *)
-let run_shared (t : t) (req : Flow.request) : Flow.t =
-  Flow.run_request ~cache:t.memo ~attack_cache:t.attack_memo req
+  with_sink t (D.Collector.add collector) (fun () ->
+      run_shared t { req with Flow.diags = Some collector })
 
 let set_warning_sink (t : t) (sink : D.t -> unit) : unit =
-  match t.disk with
-  | None -> ()
-  | Some disk ->
-    Disk_cache.set_sink disk sink;
-    Option.iter (fun store -> Disk_cache.set_sink store sink) t.attack_store
+  each_store t (fun s -> Disk_cache.set_sink s sink)
 
 (** Run a batch of jobs — (design × config) pairs in whatever mix —
     sequentially through one cache: later jobs reuse every
@@ -150,20 +135,17 @@ let set_warning_sink (t : t) (sink : D.t -> unit) : unit =
 let run_many (t : t) (reqs : Flow.request list) : Flow.t list =
   List.map (run t) reqs
 
-let enable_cache_writes (t : t) : unit =
-  Option.iter Disk_cache.enable_writes t.disk;
-  Option.iter Disk_cache.enable_writes t.sweep_store;
-  Option.iter Disk_cache.enable_writes t.attack_store
+let enable_cache_writes (t : t) : unit = each_store t Disk_cache.enable_writes
 
+(* Only the characterization namespace is validated and evicted; freed
+   space un-wedges every namespace, so all three are re-armed. *)
 let gc ?max_bytes (t : t) : Disk_cache.gc_stats option =
-  match t.disk with
-  | None -> None
-  | Some disk ->
-    let stats = Disk_cache.gc ?max_bytes disk in
-    (* freed space un-wedges the checkpoint and attack stores too *)
-    Option.iter Disk_cache.enable_writes t.sweep_store;
-    Option.iter Disk_cache.enable_writes t.attack_store;
-    Some stats
+  Option.map
+    (fun disk ->
+      let stats = Disk_cache.gc ?max_bytes disk in
+      enable_cache_writes t;
+      stats)
+    (store t Characterizations)
 
 (* ---------- resumable sweeps ---------- *)
 
@@ -331,12 +313,19 @@ let run_sweep ?(shared = false) ?(resume = true)
     ?(on_point : (sweep_point -> unit) option) (t : t)
     (points : (string * Flow.request) list) : sweep_point list =
   let runner = if shared then run_shared else run in
+  let sweeps = store t Sweeps in
   List.map
     (fun (name, req) ->
       let key = point_key name req in
+      (* a checkpoint's own W0702/W0703 belongs to this row, never to
+         the summary it persists: a resumed row must not replay it *)
+      let warnings = D.Collector.create () in
+      let checkpoint f =
+        if shared then f () else with_sink t (D.Collector.add warnings) f
+      in
       let checkpointed =
         if resume then
-          Option.bind t.sweep_store (fun store -> Disk_cache.load store ~key)
+          Option.bind sweeps (fun s -> checkpoint (fun () -> load s key))
         else None
       in
       let sp =
@@ -345,10 +334,8 @@ let run_sweep ?(shared = false) ?(resume = true)
         | None ->
           Fi.hit t.faults "engine.sweep_point";
           let sp = summarize name (runner t req) in
-          Option.iter
-            (fun store -> Disk_cache.store store ~key sp)
-            t.sweep_store;
-          sp
+          Option.iter (fun s -> checkpoint (fun () -> save s key sp)) sweeps;
+          { sp with sp_diags = sp.sp_diags @ D.Collector.list warnings }
       in
       (* deliberately after the checkpoint write: if the observer
          raises (a streaming client hung up), the completed point is

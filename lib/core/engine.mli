@@ -10,10 +10,17 @@
     key at a time, and survive process boundaries, so fabric-parameter
     sweeps and repeated CLI invocations stop re-running CreateEFPGA on
     work they have already paid for. Results are bit-identical to a
-    cold run; only the wall clock changes. Unusable entries (truncated,
-    corrupt, version-mismatched) recompute with a [W0702] warning on
-    the affected run; an unwritable store warns once ([W0703]) and
-    stops writing. *)
+    cold run; only the wall clock changes.
+
+    The engine's persistent namespaces — characterizations at the
+    store root, attack verdicts under [attack/], sweep checkpoints
+    under [sweep/], one {!Disk_cache} each because a store holds one
+    value type — are held in one list, and every store-wide operation
+    (the per-run warning sink of {!run}, {!set_warning_sink},
+    {!enable_cache_writes}) iterates it. Unusable entries (truncated,
+    corrupt, version-mismatched) in any namespace recompute with a
+    [W0702] warning on the affected run; an unwritable store warns once
+    ([W0703]) and stops writing. *)
 
 module C = Alice_config
 module D = Alice_diag.Diag
@@ -46,13 +53,13 @@ val of_config : C.Flow_config.t -> t
     accounting is on the result's [char_stats]; cache-degradation
     warnings land on the run's diagnostics.
 
-    Not safe for overlapping calls from several threads: the
-    disk-store warning sink is swapped around each run, so concurrent
+    Not safe for overlapping calls from several threads: every
+    namespace's warning sink is swapped around each run, so concurrent
     runs would misattribute (or drop) each other's warnings. Serve
     concurrent traffic with {!run_shared} instead. *)
 val run : t -> Flow.request -> Flow.t
 
-(** Like {!run}, but the disk store's warning sink is left alone, so
+(** Like {!run}, but the stores' warning sinks are left alone, so
     any number of threads may run requests through one engine
     concurrently (the memo table and disk store are mutex-guarded).
     Cache-degradation warnings go to the engine-wide sink installed
@@ -64,8 +71,9 @@ val run : t -> Flow.request -> Flow.t
 val run_shared : t -> Flow.request -> Flow.t
 
 (** Install a persistent engine-wide sink for cache-degradation
-    warnings ([W0702]/[W0703]) raised by {!run_shared} callers. The
-    sink must be safe to call from any domain; it replaces any
+    warnings ([W0702]/[W0703]) of every namespace raised by
+    {!run_shared} callers and [~shared] sweeps, checkpoints included.
+    The sink must be safe to call from any domain; it replaces any
     previously installed sink. No-op when caching is off. *)
 val set_warning_sink : t -> (D.t -> unit) -> unit
 
@@ -89,19 +97,19 @@ val attack_cache : t -> Scorer.cache
     off. *)
 val cache_root : t -> string option
 
-(** Cumulative persistent-store counters since [create]; [None] when
-    caching is off. *)
+(** Cumulative counters of the characterization namespace since
+    [create]; [None] when caching is off. *)
 val disk_stats : t -> Disk_cache.stats option
 
-(** Re-enable disk writes after a [W0703] write-disable (both the
-    characterization store and the sweep checkpoint store); no-op when
-    caching is off. {!gc} does this automatically. *)
+(** Re-enable disk writes after a [W0703] write-disable, in every
+    namespace; no-op when caching is off. {!gc} does this
+    automatically. *)
 val enable_cache_writes : t -> unit
 
-(** Garbage-collect the persistent store: validate every entry,
-    quarantine corruption, evict least-recently-used entries to
-    [max_bytes] (default: the engine's configured budget), and
-    re-enable writes. [None] when caching is off. Safe to call on a
+(** Garbage-collect the characterization namespace: validate every
+    entry, quarantine corruption, evict least-recently-used entries to
+    [max_bytes] (default: the engine's configured budget); then
+    re-enable writes in every namespace. [None] when caching is off. Safe to call on a
     live engine — concurrent loads degrade to misses at worst. *)
 val gc : ?max_bytes:int -> t -> Disk_cache.gc_stats option
 
@@ -177,6 +185,12 @@ val point_diags : sweep_point -> D.t list
     re-delivered, never silently skipped on resume. Likewise an
     observer that raises (a streaming client that hung up) aborts the
     remaining points while every completed one stays resumable.
+
+    A checkpoint's own [W0702]/[W0703] (a corrupt or unwritable
+    checkpoint) is appended to that point's [sp_diags] under {!run}
+    semantics — never to the summary the checkpoint persists, so a
+    later resume does not replay it — and goes to the engine-wide sink
+    of {!set_warning_sink} under [~shared].
 
     All points share this engine's characterization memo and its attack
     verdict pool: entries whose configurations differ only in knobs

@@ -91,10 +91,12 @@ module Scorer : sig
     verdict ->
     float
 
-  (** Resolve a verdict per candidate (order preserved): key-aliasing
-      candidates are attacked once, cache misses fan out over
-      [attack_jobs] domains, every computed verdict is written back to
-      the cache. *)
+  (** Resolve a verdict per candidate (order preserved) with one
+      {!Alice_parallel.Memo.resolve}: key-aliasing candidates are
+      attacked once, cache misses fan out over [attack_jobs] domains,
+      every computed verdict is written back, and a lost attack task
+      becomes an uncached zero [Inconclusive] verdict. The inconclusive
+      and reused sums run over unique verdicts, cache hits included. *)
   val measure :
     cache:cache option ->
     C.Flow_config.t ->

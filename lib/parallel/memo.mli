@@ -1,25 +1,18 @@
 (** Mutex-guarded memo table, usable as a shared cache across the
-    domains of a {!Pool} batch.
-
-    Lookups and insertions are atomic with respect to each other.
-    {!find_or_add} computes *outside* the lock so a slow computation
-    never blocks other keys; if two domains race to fill the same key,
-    the first writer wins and both callers observe the winning value
-    (callers must therefore be happy with either computation's result —
-    true of any pure keyed computation).
+    domains of a {!Pool} batch, and {!resolve}, the one cached fan-out
+    built on it.
 
     A table may be created with backing-store hooks: [load] is consulted
     (outside the lock) on an in-memory miss and its hit is installed in
     the table, so a persistent store is read lazily, one key at a time;
-    [save] is called (outside the lock) after each new in-memory
-    insertion. Hooks must be safe to call from any domain and must not
-    raise — a store that can fail should catch internally and degrade to
-    [None] / no-op. *)
+    [save] is called (outside the lock) on each {!set}. Hooks must be
+    safe to call from any domain and must not raise — a store that can
+    fail should catch internally and degrade to [None] / no-op. *)
 
 type ('k, 'v) t
 
 (** [create ?size ?load ?save ()] — [load] backs in-memory misses,
-    [save] observes new insertions (both optional; omitting both gives a
+    [save] observes insertions (both optional; omitting both gives a
     plain in-memory table). *)
 val create :
   ?size:int ->
@@ -32,23 +25,45 @@ val create :
     hit). *)
 val find_opt : ('k, 'v) t -> 'k -> 'v option
 
-val mem : ('k, 'v) t -> 'k -> bool
-
 (** [set t k v] binds [k] to [v], replacing any previous binding, and
     notifies the [save] hook. *)
 val set : ('k, 'v) t -> 'k -> 'v -> unit
 
-(** [find_or_add t k compute] returns the cached value for [k] (from
-    memory or the [load] hook), or runs [compute ()] (unlocked) and
-    installs its result, notifying the [save] hook if this caller won
-    the installation race. Returns the stored value, which under a race
-    may be another domain's result for the same key. An exception from
-    [compute] propagates and caches nothing. *)
-val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
+(** Why a task of {!resolve} produced no value of its own. *)
+type loss =
+  | Raised of exn  (** [compute] raised (or its worker died) *)
+  | Skipped        (** never dispatched: [should_stop] was true *)
 
-(** Snapshot of the in-memory bindings, in no particular order (lazy
-    backing-store entries not yet loaded are absent). *)
-val bindings : ('k, 'v) t -> ('k * 'v) list
+(** What one {!resolve} batch returned. Everything but [values] is per
+    distinct key: each of [uniques] was a hit, computed (a [Raised] task
+    counts as computed) or skipped, so
+    [List.length uniques = hits + computed + skipped]. *)
+type 'v resolved = {
+  values : 'v list;   (** one per input item, in input order *)
+  uniques : 'v list;  (** one per distinct key, first-occurrence order *)
+  hits : int;         (** served by the table or its [load] hook *)
+  computed : int;
+  skipped : int;
+}
 
-(** Number of distinct keys currently cached in memory. *)
-val length : ('k, 'v) t -> int
+(** [resolve ?should_stop ~jobs ~compute ~lost ?keep t items] gives
+    every keyed item a value, computing each distinct key at most once.
+
+    Items are deduplicated by key (the first item of a key represents
+    it); each distinct key is looked up with {!find_opt}; the misses run
+    [compute] through {!Pool.map_ordered} over [jobs] workers, polling
+    [should_stop] before each dispatch. A lost task becomes
+    [lost representative loss] — except [Out_of_memory], which is
+    re-raised. A computed value is written back with {!set} when [keep]
+    (default: always) holds; a lost task's value never is. Every item
+    then gets its key's value, so the result is independent of [jobs]
+    whenever [compute] is deterministic. *)
+val resolve :
+  ?should_stop:(unit -> bool) ->
+  jobs:int ->
+  compute:('a -> 'v) ->
+  lost:('a -> loss -> 'v) ->
+  ?keep:('v -> bool) ->
+  ('k, 'v) t ->
+  ('k * 'a) list ->
+  'v resolved

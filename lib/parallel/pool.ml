@@ -12,14 +12,6 @@
 
 module Fi = Alice_fault.Fault
 
-type t = { jobs : int }
-
-let create ~jobs = { jobs = max 1 jobs }
-
-let jobs (pool : t) = pool.jobs
-
-let default_jobs () = Domain.recommended_domain_count ()
-
 type 'a outcome =
   | Value of 'a
   | Raised of exn
@@ -45,7 +37,7 @@ let check_worker_alive ~(faults : Fi.t) (results : 'b outcome array)
     results.(i) <- Raised e;
     raise e
 
-let map_ordered ?(should_stop = fun () -> false) ?faults (pool : t)
+let map_ordered ?(should_stop = fun () -> false) ?faults ~(jobs : int)
     (f : 'a -> 'b) (xs : 'a list) : 'b outcome list =
   let faults = match faults with Some fp -> fp | None -> Fi.global () in
   let tasks = Array.of_list xs in
@@ -82,9 +74,9 @@ let map_ordered ?(should_stop = fun () -> false) ?faults (pool : t)
     in
     (* the caller is one of the workers: it drains tasks alongside the
        [min jobs n - 1] spawned domains instead of idling in join, and
-       with [jobs = 1] it is the only one *)
+       with [jobs <= 1] it is the only one *)
     let helpers =
-      Array.init (min pool.jobs n - 1) (fun _ -> Domain.spawn worker)
+      Array.init (min (max 1 jobs) n - 1) (fun _ -> Domain.spawn worker)
     in
     worker ();
     Array.iter Domain.join helpers;

@@ -1,8 +1,7 @@
 (** Bounded Domain-based work pool.
 
-    A pool is a parallelism budget: {!map_ordered} fans a task list out
-    over at most [jobs] workers — the calling domain plus [jobs - 1]
-    spawned domains — and returns the results in input order, so
+    {!map_ordered} fans a task list out over at most [jobs] workers —
+    the calling domain plus [jobs - 1] spawned domains — and returns the results in input order, so
     callers that were previously serial [List.map]s keep their output
     order (and therefore their downstream determinism) unchanged.
 
@@ -21,38 +20,26 @@
     per-task containment — an injected [Kill] exercises the worker
     supervision above; the claimed slot comes back [Raised]). *)
 
-type t
-
-(** [create ~jobs] is a pool dispatching at most [max 1 jobs] tasks
-    concurrently. Helper domains are spawned per {!map_ordered} batch
-    (one fewer than [min jobs batch_size], since the caller works too)
-    and joined before it returns, so a pool holds no resources between
-    calls and needs no shutdown. *)
-val create : jobs:int -> t
-
-val jobs : t -> int
-
-(** The runtime's recommended parallelism ([Domain.recommended_domain_count]). *)
-val default_jobs : unit -> int
-
 (** How one task ended. *)
 type 'a outcome =
   | Value of 'a        (** the task returned *)
   | Raised of exn      (** the task raised; siblings were unaffected *)
   | Skipped            (** never dispatched: [should_stop] was true *)
 
-(** [map_ordered ?should_stop ?faults pool f xs] applies [f] to every
-    element of [xs] across the pool's workers and returns the outcomes
-    in the order of [xs].
+(** [map_ordered ?should_stop ?faults ~jobs f xs] applies [f] to every
+    element of [xs] across at most [max 1 jobs] workers and returns the
+    outcomes in the order of [xs]. Helper domains are spawned per call
+    (one fewer than [min jobs (List.length xs)], since the caller works
+    too) and joined before it returns, so nothing outlives the call.
 
     [should_stop] is polled immediately before each task is dispatched;
     once it returns [true], no further task starts (in-flight tasks
     finish) and every undispatched task's outcome is [Skipped]. With
-    [jobs = 1] the caller is the only worker: no domain is spawned and
+    [jobs <= 1] the caller is the only worker: no domain is spawned and
     the tasks run in input order in the calling domain, like a serial
     [List.map] with the same dispatch-time stop check. [faults] (default
     {!Alice_fault.Fault.global}) arms the ["pool.task"] and
     ["pool.worker"] injection sites. *)
 val map_ordered :
-  ?should_stop:(unit -> bool) -> ?faults:Alice_fault.Fault.t -> t ->
+  ?should_stop:(unit -> bool) -> ?faults:Alice_fault.Fault.t -> jobs:int ->
   ('a -> 'b) -> 'a list -> 'b outcome list

@@ -65,12 +65,12 @@ let test_memo_hooks () =
   Alcotest.(check (option int)) "store miss" None
     (Alice_parallel.Memo.find_opt m "cold");
   Alcotest.(check int) "miss re-consults" 2 !loads;
-  (* new insertions notify the save hook *)
+  (* insertions notify the save hook and are served from memory *)
   Alice_parallel.Memo.set m "a" 1;
-  let v = Alice_parallel.Memo.find_or_add m "b" (fun () -> 2) in
-  Alcotest.(check int) "computed" 2 v;
-  (* find_or_add on a present key must not save again *)
-  let _ = Alice_parallel.Memo.find_or_add m "b" (fun () -> 99) in
+  Alice_parallel.Memo.set m "b" 2;
+  Alcotest.(check (option int)) "set is visible" (Some 2)
+    (Alice_parallel.Memo.find_opt m "b");
+  Alcotest.(check int) "no load for a set key" 2 !loads;
   Alcotest.(check (list (pair string int))) "saved insertions"
     [ ("a", 1); ("b", 2) ]
     (List.sort compare !saved)
@@ -473,6 +473,56 @@ let test_sweep_resumes_across_jobs () =
   Alcotest.(check (list bool)) "max_efpgas change recomputes" [ false; false ]
     (resumed changed)
 
+(* ---------- checkpoint warnings reach the row or the engine ---------- *)
+
+(* a corrupt sweep checkpoint is quarantined and recomputed; its W0702
+   must land on that point's diagnostics (tagged config=<name>) under
+   [run], and on the engine-wide sink under [~shared] — and the repaired
+   checkpoint must not replay the warning on the next resume *)
+let test_sweep_checkpoint_warnings () =
+  let root = tmp_root () in
+  let points () =
+    [ ("p1", demo_request ());
+      ("p2",
+       A.Flow.request
+         ~config:{ demo_cfg with C.Flow_config.max_fabric_size = 8 }
+         (A.Flow.Text { text = demo_src; file = Some "demo.v" })) ]
+  in
+  let sweep ?shared engine = A.Engine.run_sweep ?shared engine (points ()) in
+  let corrupt () =
+    let files = entry_files (Filename.concat root "sweep") in
+    Alcotest.(check int) "one checkpoint per point" 2 (List.length files);
+    List.iter (fun f -> write_file f "garbage") files
+  in
+  let w0702 (d : D.t) = d.D.code = "W0702" in
+  ignore (sweep (A.Engine.create ~cache_dir:root ()));
+  corrupt ();
+  List.iter
+    (fun (sp : A.Engine.sweep_point) ->
+      Alcotest.(check bool) "recomputed" false sp.A.Engine.sp_resumed;
+      Alcotest.(check bool)
+        (sp.A.Engine.sp_name ^ ": W0702 tagged with its config") true
+        (List.exists
+           (fun (d : D.t) ->
+             w0702 d
+             && List.assoc_opt "config" d.D.context
+                = Some sp.A.Engine.sp_name)
+           (A.Engine.point_diags sp)))
+    (sweep (A.Engine.create ~cache_dir:root ()));
+  List.iter
+    (fun (sp : A.Engine.sweep_point) ->
+      Alcotest.(check bool) "resumed after repair" true sp.A.Engine.sp_resumed;
+      Alcotest.(check bool) "repaired checkpoint replays no warning" false
+        (List.exists w0702 sp.A.Engine.sp_diags))
+    (sweep (A.Engine.create ~cache_dir:root ()));
+  corrupt ();
+  let engine = A.Engine.create ~cache_dir:root () in
+  let engine_wide = ref 0 in
+  A.Engine.set_warning_sink engine (fun d -> if w0702 d then incr engine_wide);
+  ignore (sweep ~shared:true engine);
+  Alcotest.(check int) "shared: both W0702 reach the engine-wide sink" 2
+    !engine_wide
+
 let tests =
   [ Alcotest.test_case "memo hooks" `Quick test_memo_hooks;
     Alcotest.test_case "concurrent writers same dir" `Quick
@@ -495,5 +545,7 @@ let tests =
       test_sweep_shares_attack_pool;
     Alcotest.test_case "on_point after checkpoint" `Quick
       test_sweep_on_point_after_checkpoint;
+    Alcotest.test_case "sweep checkpoint warnings" `Quick
+      test_sweep_checkpoint_warnings;
     Alcotest.test_case "sweep resumes across jobs" `Quick
       test_sweep_resumes_across_jobs ]

@@ -232,9 +232,8 @@ let test_eviction_lru_order () =
 (* ---------- pool: injected worker death is contained ---------- *)
 
 let test_pool_worker_kill_serial () =
-  let pool = P.create ~jobs:1 in
   let results =
-    P.map_ordered ~faults:(Fi.parse "pool.worker=kill@2") pool
+    P.map_ordered ~faults:(Fi.parse "pool.worker=kill@2") ~jobs:1
       (fun x -> x * 2)
       [ 1; 2; 3; 4; 5 ]
   in
@@ -247,7 +246,7 @@ let test_pool_worker_kill_serial () =
   | _ -> Alcotest.fail "serial kill not contained to one slot");
   (* a per-task failure is likewise one slot, not the pool *)
   match
-    P.map_ordered ~faults:(Fi.parse "pool.task=fail@3") pool
+    P.map_ordered ~faults:(Fi.parse "pool.task=fail@3") ~jobs:1
       (fun x -> x + 1)
       [ 10; 20; 30 ]
   with
@@ -255,9 +254,8 @@ let test_pool_worker_kill_serial () =
   | _ -> Alcotest.fail "task failure not contained"
 
 let test_pool_worker_kill_parallel () =
-  let pool = P.create ~jobs:2 in
   let results =
-    P.map_ordered ~faults:(Fi.parse "pool.worker=kill@2") pool
+    P.map_ordered ~faults:(Fi.parse "pool.worker=kill@2") ~jobs:2
       (fun x -> x * x)
       [ 1; 2; 3; 4; 5; 6 ]
   in

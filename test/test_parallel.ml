@@ -1,6 +1,7 @@
 (* The domain-parallel characterization engine: pool ordering and fault
-   isolation, the mutex-guarded memo table under contention, serial vs
-   parallel flow equivalence, and determinism of a parallel SoC run. *)
+   isolation, the memo table's batch resolver against a serial
+   reference, serial vs parallel flow equivalence, and determinism of a
+   parallel SoC run. *)
 
 module A = Alice
 module B = Alice_benchmarks.Suite
@@ -22,11 +23,10 @@ let test_map_ordered_matches_serial () =
   let expected = List.map (fun x -> P.Pool.Value (f x)) xs in
   List.iter
     (fun jobs ->
-      let pool = P.Pool.create ~jobs in
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d equals serial map" jobs)
         true
-        (P.Pool.map_ordered pool f xs = expected))
+        (P.Pool.map_ordered ~jobs f xs = expected))
     [ 1; 2; 4; 7 ]
 
 exception Boom of int
@@ -37,8 +37,7 @@ let test_exception_capture () =
   let f x = if x mod 5 = 3 then raise (Boom x) else 2 * x in
   List.iter
     (fun jobs ->
-      let pool = P.Pool.create ~jobs in
-      let out = P.Pool.map_ordered pool f xs in
+      let out = P.Pool.map_ordered ~jobs f xs in
       Alcotest.(check int) "every task has an outcome" 40 (List.length out);
       List.iteri
         (fun i o ->
@@ -60,9 +59,8 @@ let test_should_stop_skips_undispatched () =
   let xs = List.init 10 Fun.id in
   List.iter
     (fun jobs ->
-      let pool = P.Pool.create ~jobs in
-      let out = P.Pool.map_ordered ~should_stop:(fun () -> true) pool
-          (fun x -> x) xs
+      let out =
+        P.Pool.map_ordered ~should_stop:(fun () -> true) ~jobs (fun x -> x) xs
       in
       Alcotest.(check bool) "all skipped" true
         (List.for_all (fun o -> o = P.Pool.Skipped) out);
@@ -74,7 +72,7 @@ let test_caller_is_a_worker () =
      instead of idling in join *)
   let caller = (Domain.self () :> int) in
   let out =
-    P.Pool.map_ordered (P.Pool.create ~jobs:2)
+    P.Pool.map_ordered ~jobs:2
       (fun _ -> Unix.sleepf 0.001; (Domain.self () :> int))
       (List.init 50 Fun.id)
   in
@@ -89,33 +87,114 @@ let test_caller_is_a_worker () =
   Alcotest.(check bool) "at most 2 domains" true (List.length domains <= 2);
   Alcotest.(check bool) "the caller ran tasks" true (List.mem caller domains)
 
-(* ---------- memo table under contention ---------- *)
+(* ---------- Memo.resolve against a serial reference ---------- *)
 
-let test_memo_contention () =
-  let memo : (int, int) P.Memo.t = P.Memo.create () in
-  let computed = Atomic.make 0 in
-  let pool = P.Pool.create ~jobs:4 in
-  (* 64 lookups over 8 distinct keys racing from 4 domains *)
-  let out =
-    P.Pool.map_ordered pool
-      (fun i ->
-        let k = i mod 8 in
-        P.Memo.find_or_add memo k (fun () ->
-            Atomic.incr computed;
-            k * 100))
-      (List.init 64 Fun.id)
+(* One batch: keys of the items (each item's payload is its key), keys
+   pre-seeded in the table, keys the [load] hook serves, an optional
+   dispatch budget for the stop predicate, and the worker count. Values
+   say where they came from: [1000 + k] seeded, [2000 + k] loaded,
+   [10 * k] computed, [-1 - k] a raised task, [-100 - k] a skipped
+   one. Keys [k mod 5 = 3] raise; only computed values of even keys
+   are kept. *)
+let resolve_prop =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (quad
+           (list_size (int_range 0 30) (int_range 0 9))
+           (list_size (int_range 0 4) (int_range 0 9))
+           (list_size (int_range 0 4) (int_range 0 9))
+           (opt (int_range 0 6)))
+        (oneofl [ 1; 4 ]))
   in
-  Alcotest.(check int) "8 distinct keys cached" 8 (P.Memo.length memo);
-  List.iteri
-    (fun i o ->
-      match o with
-      | P.Pool.Value v -> Alcotest.(check int) "consistent value" (i mod 8 * 100) v
-      | P.Pool.Raised _ | P.Pool.Skipped -> Alcotest.fail "memo lookup failed")
-    out;
-  (* racing duplicates are permitted, but every stored value must be a
-     winner observed by all callers of the same key *)
-  Alcotest.(check bool) "computed at least once per key" true
-    (Atomic.get computed >= 8)
+  let print ((keys, seeded, loadable, budget), jobs) =
+    let ints l = String.concat "," (List.map string_of_int l) in
+    Printf.sprintf "keys=[%s] seeded=[%s] loadable=[%s] budget=%s jobs=%d"
+      (ints keys) (ints seeded) (ints loadable)
+      (match budget with None -> "-" | Some b -> string_of_int b)
+      jobs
+  in
+  QCheck.Test.make ~count:200 ~name:"memo resolve matches a serial reference"
+    (QCheck.make ~print gen)
+    (fun ((keys, seeded, loadable, budget), jobs) ->
+      let saved = ref [] and saved_mu = Mutex.create () in
+      let load k = if List.mem k loadable then Some (2000 + k) else None in
+      let save k v = Mutex.protect saved_mu (fun () -> saved := (k, v) :: !saved) in
+      let memo : (int, int) P.Memo.t = P.Memo.create ~load ~save () in
+      List.iter (fun k -> P.Memo.set memo k (1000 + k)) seeded;
+      saved := [];
+      let calls = Array.init 10 (fun _ -> Atomic.make 0) in
+      let compute k =
+        Atomic.incr calls.(k);
+        if k mod 5 = 3 then failwith "boom" else 10 * k
+      in
+      let lost k = function
+        | P.Memo.Raised _ -> -1 - k
+        | P.Memo.Skipped -> -100 - k
+      in
+      let polls = Atomic.make 0 in
+      let should_stop =
+        Option.map (fun b () -> Atomic.fetch_and_add polls 1 >= b) budget
+      in
+      let r =
+        P.Memo.resolve ?should_stop ~jobs ~compute ~lost
+          ~keep:(fun v -> v mod 20 = 0)
+          memo
+          (List.map (fun k -> (k, k)) keys)
+      in
+      (* the serial reference: uniques in first-occurrence order, hits
+         from the seeded table or the load hook, and the misses in
+         order; a miss was dispatched iff [compute] ran on it *)
+      let first_seen =
+        List.fold_left
+          (fun acc k -> if List.mem k acc then acc else acc @ [ k ])
+          [] keys
+      in
+      let is_hit k = List.mem k seeded || List.mem k loadable in
+      let misses = List.filter (fun k -> not (is_hit k)) first_seen in
+      let dispatched k = Atomic.get calls.(k) > 0 in
+      let reference = Hashtbl.create 16 in
+      List.iter
+        (fun k ->
+          Hashtbl.replace reference k
+            (if List.mem k seeded then 1000 + k
+             else if List.mem k loadable then 2000 + k
+             else if not (dispatched k) then -100 - k
+             else if k mod 5 = 3 then -1 - k
+             else 10 * k))
+        first_seen;
+      let n_dispatched = List.length (List.filter dispatched misses) in
+      let expected_dispatch =
+        match budget with
+        | None -> List.length misses
+        | Some b -> min b (List.length misses)
+      in
+      let serial_prefix =
+        (* one worker dispatches the misses in first-occurrence order *)
+        jobs > 1
+        || List.for_all2
+             (fun i k -> dispatched k = (i < expected_dispatch))
+             (List.init (List.length misses) Fun.id)
+             misses
+      in
+      let kept =
+        List.filter_map
+          (fun k ->
+            if dispatched k && k mod 5 <> 3 && k mod 2 = 0 then Some (k, 10 * k)
+            else None)
+          misses
+      in
+      r.P.Memo.values = List.map (Hashtbl.find reference) keys
+      && r.P.Memo.uniques = List.map (Hashtbl.find reference) first_seen
+      && Array.for_all (fun c -> Atomic.get c <= 1) calls
+      && not (List.exists (fun k -> is_hit k && dispatched k) first_seen)
+      && n_dispatched = expected_dispatch
+      && serial_prefix
+      && List.sort compare !saved = List.sort compare kept
+      && List.length first_seen
+         = r.P.Memo.hits + r.P.Memo.computed + r.P.Memo.skipped
+      && r.P.Memo.hits = List.length first_seen - List.length misses
+      && r.P.Memo.computed = n_dispatched)
 
 (* ---------- flow equivalence: serial vs parallel ---------- *)
 
@@ -200,8 +279,7 @@ let tests =
       test_should_stop_skips_undispatched;
     Alcotest.test_case "caller domain is one of the workers" `Quick
       test_caller_is_a_worker;
-    Alcotest.test_case "memo table under domain contention" `Quick
-      test_memo_contention;
+    QCheck_alcotest.to_alcotest resolve_prop;
     Alcotest.test_case "flow: jobs=1 vs jobs=4 equivalence" `Slow
       test_flow_jobs_equivalence;
     Alcotest.test_case "flow: SoC determinism at jobs=4" `Slow
